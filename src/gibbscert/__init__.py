@@ -13,6 +13,8 @@ from .chain import (
     draw_block,
     lift_2d_to_4d,
     log_equilibrium_density,
+    reduced_rates,
+    step,
     step_full,
     step_n3,
     step_reduced,

@@ -16,11 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import ModelParams, block_shapes
+from .chain import ModelParams, ParamError, block_shapes, step
 from .constants import ConstantsTable
+from .coupling import envelope_init
 from .rng import RngStream
 
-__all__ = ["BoundSpec", "evaluate_bound", "minimal_t", "PiFunctionals", "estimate_pi_functionals"]
+__all__ = ["BoundSpec", "evaluate_bound", "wall_clock_step", "minimal_t", "PiFunctionals", "estimate_pi_functionals"]
 
 THEOREMS = ("fixed_start_small_j0", "fixed_start", "equilibrium_start", "n3")
 
@@ -73,10 +74,15 @@ def evaluate_bound(spec: BoundSpec, t) -> float:
     return geom(t / (2.0 * d)) * (1.0 + 3.0 * spec.sum_a * (spec.r0 - 1.0)) + (max(spec.j0, eta) / eta) * tail
 
 
+def wall_clock_step(p: ModelParams, t):
+    """The wall-clock step of the coupled chains whose distance theorem index ``t`` bounds."""
+    return t + (3 if p.n == 4 else 2)
+
+
 def minimal_t(spec: BoundSpec, epsilon: float) -> int:
     """Smallest theorem index t with min(1, bound(t)) <= epsilon."""
     if not (0 < epsilon <= 1):
-        raise ValueError("epsilon must be in (0, 1]")
+        raise ParamError(f"epsilon must be in (0, 1], got {epsilon}")
     clamped = lambda t: min(1.0, evaluate_bound(spec, t))
     if clamped(0) <= epsilon:
         return 0
@@ -133,51 +139,28 @@ def estimate_pi_functionals(
     Warns when the within-chain lag-1 autocorrelation of the heavy functional
     exceeds ``autocorr_threshold``.
     """
+    if thinning < 1:
+        raise ParamError(f"thinning must be at least 1, got {thinning}")
     if rng is None:
         rng = RngStream(0)
     shapes = block_shapes(p)
     per_chain = max(1, -(-n_samples // n_chains))
+    ones = (1.0,) * (p.n // 2)
+    state = (np.ones(n_chains),) * len(ones)
 
-    if p.n == 4:
-        state = (np.ones(n_chains), np.ones(n_chains))
-
-        def step(s):
-            u2, u4 = s
-            g1 = rng.gamma(shapes[0], size=n_chains)
-            g2 = rng.gamma(shapes[1], size=n_chains)
-            g3 = rng.gamma(shapes[2], size=n_chains)
-            g4 = rng.gamma(shapes[3], size=n_chains)
-            mid = g3 / (u2 + u4)
-            return g2 / (g1 / (p.x + u2) + mid), g4 / (p.b + mid)
-
-        def functionals(s):
-            u2, u4 = s
-            m = np.minimum(1.0, np.minimum(u2, u4))
-            big = np.maximum(1.0, np.maximum(u2, u4))
-            return big / m, 2.0 * m + 1.0 / (2.0 * m)
-    else:
-        state = np.ones(n_chains)
-
-        def step(u):
-            g1 = rng.gamma(shapes[0], size=n_chains)
-            g2 = rng.gamma(shapes[1], size=n_chains)
-            g3 = rng.gamma(shapes[2], size=n_chains)
-            return g2 / (g1 / (u + p.x) + g3 / (u + p.b))
-
-        def functionals(u):
-            m = np.minimum(1.0, u)
-            big = np.maximum(1.0, u)
-            return big / m, m + 1.0 / m
+    def advance(s):
+        return step(s, [rng.gamma(a, size=n_chains) for a in shapes], p)
 
     for _ in range(burn_in):
-        state = step(state)
+        state = advance(state)
 
     f_pi = np.empty((per_chain, n_chains))
     f_j = np.empty((per_chain, n_chains))
     for k in range(per_chain):
         for _ in range(thinning):
-            state = step(state)
-        f_pi[k], f_j[k] = functionals(state)
+            state = advance(state)
+        env = envelope_init(ones, state)
+        f_pi[k], f_j[k] = env.r0, env.j0
 
     batch_pi = f_pi.mean(axis=0)
     batch_j = f_j.mean(axis=0)

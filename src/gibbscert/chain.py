@@ -1,13 +1,22 @@
 """The hierarchical gamma model and its Gibbs chains.
 
-Supports chain depth ``n = 4`` (full 4-coordinate kernel plus the reduced
-even-coordinate chain) and ``n = 3`` (scalar middle-coordinate chain).  State
-coordinates may be scalars or numpy arrays; all update formulas are written
-in one fixed literal grouping so that coupled trajectories stay bit-stable
-and floating-point evaluation preserves the componentwise order.
+Supports chain depth ``n = 4`` and ``n = 3``.  The Gibbs sampler draws the odd
+coordinates given the even ones and then the even coordinates given the odd
+ones, so the even coordinates alone form a Markov chain.  A state of that
+chain is the tuple of its even coordinates: ``(u2, u4)`` for n = 4 and
+``(u,)`` for n = 3, each a scalar or a numpy array of replicas.
+
+The chain's formula lives in :func:`odd_coordinates` and
+:func:`reduced_rates`: every coordinate is gamma with rate the sum of its two
+neighbours in ``(x, u1, ..., un, b)``.  :func:`step` is each even innovation
+over its rate; the other updates are views of it.  All formulas are written in
+one fixed literal grouping so that coupled trajectories stay bit-stable and
+floating-point evaluation preserves the componentwise order.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +30,10 @@ __all__ = [
     "validate_params",
     "block_shapes",
     "draw_block",
+    "as_state",
+    "odd_coordinates",
+    "reduced_rates",
+    "step",
     "step_reduced",
     "step_full",
     "step_n3",
@@ -30,7 +43,7 @@ __all__ = [
 
 
 class ParamError(ValueError):
-    """A model-parameter condition failed; the message names the condition."""
+    """A model or run parameter is out of range; the message names the condition."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,9 @@ def validate_params(p: ModelParams) -> ModelParams:
     for i, ai in enumerate(p.a, start=1):
         if not ai > 0:
             raise ParamError(f"a{i} <= 0")
+    for name, v in (("x", p.x), ("b", p.b), *((f"a{i}", ai) for i, ai in enumerate(p.a, start=1))):
+        if not math.isfinite(v):
+            raise ParamError(f"{name} must be finite, got {v}")
     a = p.a
     if p.n == 4:
         pairs = [(1, 4), (2, 5), (2, 3), (3, 4), (4, 5)]
@@ -101,25 +117,49 @@ class GammaBlock:
 
 def draw_block(p: ModelParams, rng: RngStream, t: int = 0, size=None) -> GammaBlock:
     """Draw gamma_i ~ Gamma(a_i + a_{i+1}, 1), independent across i."""
-    shapes = block_shapes(p)
-    if size is None:
-        g = np.array([rng.gamma(s) for s in shapes])
-    else:
-        g = np.stack([rng.gamma(s, size=size) for s in shapes])
-    return GammaBlock(gamma=g, t=t)
+    return GammaBlock(gamma=np.array([rng.gamma(s, size=size) for s in block_shapes(p)]), t=t)
+
+
+def as_state(s):
+    """A state as the tuple of its even coordinates; a bare scalar is the n = 3 state ``(s,)``."""
+    return (s,) if np.ndim(s) == 0 else tuple(s)
+
+
+def odd_coordinates(s, g_odd, p: ModelParams):
+    """The odd coordinates ``(u1, u3)`` drawn from ``g_odd = (g1, g3)`` given the even state.
+
+    ``u1 = g1 / (x + u2)``; ``u3 = g3 / (u2 + u4)`` for n = 4 and
+    ``g3 / (u2 + b)`` for n = 3.
+    """
+    g1, g3 = g_odd
+    z = (p.x, *s, p.b)
+    return g1 / (z[0] + z[1]), g3 / (z[1] + z[2])
+
+
+def reduced_rates(s, g_odd, p: ModelParams):
+    """Conditional gamma rates of the next even coordinates given the state and (g1, g3).
+
+    ``(u1 + u3, u3 + b)`` for n = 4 and ``(u1 + u3,)`` for n = 3, with the odd
+    coordinates of :func:`odd_coordinates`.
+    """
+    u1, u3 = odd_coordinates(s, g_odd, p)
+    if p.n == 3:
+        return (u1 + u3,)
+    return u1 + u3, u3 + p.b
+
+
+def step(s, gammas, p: ModelParams):
+    """One update of the even-coordinate chain: each even innovation over its rate.
+
+    ``gammas`` holds the block's innovations ``(g1, ..., gn)`` (a sequence or
+    the array of a :class:`GammaBlock`).
+    """
+    return tuple(map(operator.truediv, gammas[1::2], reduced_rates(s, gammas[0::2], p)))
 
 
 def step_reduced(s, g: GammaBlock, p: ModelParams):
-    """One update of the even-coordinate chain (u2, u4), n = 4.
-
-    Literal evaluation of
-    ``( g2 / (g1/(x+u2) + g3/(u2+u4)),  g4 / (b + g3/(u2+u4)) )``.
-    """
-    u2, u4 = s
-    g1, g2, g3, g4 = g.gamma
-    u2_next = g2 / (g1 / (p.x + u2) + g3 / (u2 + u4))
-    u4_next = g4 / (p.b + g3 / (u2 + u4))
-    return (u2_next, u4_next)
+    """One update of the even-coordinate chain under a block: :func:`step` on ``g.gamma``."""
+    return step(s, g.gamma, p)
 
 
 def step_full(s, g: GammaBlock, p: ModelParams):
@@ -128,19 +168,15 @@ def step_full(s, g: GammaBlock, p: ModelParams):
     The output does not depend on the input u1 or u3; coordinates 2 and 4
     agree with :func:`step_reduced` on (u2, u4).
     """
-    _, u2, _, u4 = s
-    g1, g2, g3, g4 = g.gamma
-    u1_next = g1 / (p.x + u2)
-    u3_next = g3 / (u2 + u4)
-    u2_next = g2 / (g1 / (p.x + u2) + g3 / (u2 + u4))
-    u4_next = g4 / (p.b + g3 / (u2 + u4))
-    return (u1_next, u2_next, u3_next, u4_next)
+    even = (s[1], s[3])
+    u1, u3 = odd_coordinates(even, g.gamma[0::2], p)
+    u2, u4 = step(even, g.gamma, p)
+    return (u1, u2, u3, u4)
 
 
 def step_n3(u, g: GammaBlock, p: ModelParams):
-    """One update of the scalar n = 3 chain: g2 / (g1/(u+x) + g3/(u+b))."""
-    g1, g2, g3 = g.gamma[:3]
-    return g2 / (g1 / (u + p.x) + g3 / (u + p.b))
+    """One update of the scalar n = 3 chain: g2 / (g1/(x+u) + g3/(u+b))."""
+    return step((u,), g.gamma, p)[0]
 
 
 def log_equilibrium_density(s, p: ModelParams):
@@ -166,7 +202,4 @@ def lift_2d_to_4d(s, g: GammaBlock, p: ModelParams):
     coincide under a shared block.
     """
     u2, u4 = s
-    one = np.ones_like(np.asarray(u2, dtype=float))
-    if np.ndim(u2) == 0:
-        return step_full((1.0, u2, 1.0, u4), g, p)
-    return step_full((one, u2, one, u4), g, p)
+    return step_full((None, u2, None, u4), g, p)

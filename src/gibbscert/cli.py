@@ -9,16 +9,16 @@ variable overrides the seed from either source).  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
-from .bounds import BoundSpec, estimate_pi_functionals, evaluate_bound, minimal_t
+from .bounds import BoundSpec, estimate_pi_functionals, evaluate_bound, minimal_t, wall_clock_step
 from .chain import ModelParams, ParamError
 from .constants import compute_constants
 from .coupling import envelope_init
-from .ratio_drift import TRAJECTORY_COLUMNS
 from .rng import RngStream
-from .verify import McConfig, N3_TRAJECTORY_COLUMNS, trajectory, run_replicas, verify_suite
+from .verify import DEFAULT_STARTS, McConfig, trajectory, run_replicas, verify_suite
 
 CONFIG_KEYS = {
     "n": int, "x": float, "b": float, "a": str, "seed": int, "replicas": int,
@@ -183,17 +183,16 @@ def _emit(rows, header, values):
 
 
 def _default_starts(values, p):
-    if p.n == 4:
-        u0 = _parse_floats(values.get("u0", "1,2"))
-        w0 = _parse_floats(values.get("w0", "0.5,4"))
-        if len(u0) != 2 or len(w0) != 2:
-            raise ConfigError("u0 and w0 must be comma pairs for n=4")
-        return u0, w0
-    u0 = _parse_floats(values.get("u0", "1"))
-    w0 = _parse_floats(values.get("w0", "4"))
-    if len(u0) != 1 or len(w0) != 1:
-        raise ConfigError("u0 and w0 must be scalars for n=3")
-    return u0[0], w0[0]
+    """Start states as tuples of even coordinates: comma pairs for n=4, scalars for n=3."""
+    starts = []
+    for name, default in zip(("u0", "w0"), DEFAULT_STARTS[p.n]):
+        s = _parse_floats(values[name]) if name in values else default
+        if len(s) != len(default):
+            raise ConfigError(f"{name} must have {len(default)} comma-separated value(s) for n={p.n}")
+        if not all(0 < c < math.inf for c in s):
+            raise ConfigError(f"{name} must be strictly positive and finite, got {values[name]!r}")
+        starts.append(s)
+    return starts
 
 
 def _bound_spec(values, p, table):
@@ -203,14 +202,8 @@ def _bound_spec(values, p, table):
             raise ConfigError("equilibrium_start requires --e-r0-minus-1 and --e-j0")
         return BoundSpec(theorem="equilibrium_start", table=table, sum_a=p.sum_tail,
                          e_r0_minus_1=float(values["e_r0_minus_1"]), e_j0=float(values["e_j0"]))
-    u0, w0 = _default_starts(values, p)
-    if p.n == 4:
-        env = envelope_init(u0, w0)
-        r0, j0 = float(env.r0), float(env.j0)
-    else:
-        m0, big = min(u0, w0), max(u0, w0)
-        r0, j0 = big / m0, m0 + 1.0 / m0
-    return BoundSpec(theorem=theorem, table=table, sum_a=p.sum_tail, r0=r0, j0=j0)
+    env = envelope_init(*_default_starts(values, p))
+    return BoundSpec(theorem=theorem, table=table, sum_a=p.sum_tail, r0=float(env.r0), j0=float(env.j0))
 
 
 def _cmd_constants(values, p):
@@ -224,11 +217,10 @@ def _cmd_bound(values, p):
     table = compute_constants(p)
     spec = _bound_spec(values, p, table)
     grid = [int(v) for v in _parse_floats(values.get("t_grid", "0,1,2,5,10,20,50,100,200,500,1000"))]
-    offset = 3 if p.n == 4 else 2
     rows = []
     for t in grid:
         raw = evaluate_bound(spec, t)
-        rows.append((t, t + offset, raw, min(1.0, raw)))
+        rows.append((t, wall_clock_step(p, t), raw, min(1.0, raw)))
     _emit(rows, ("t", "wall_clock_t", "bound", "clamped_bound"), values)
     return 0
 
@@ -238,26 +230,28 @@ def _cmd_min_t(values, p):
     spec = _bound_spec(values, p, table)
     eps = float(values.get("epsilon", 1e-5))
     t = minimal_t(spec, eps)
-    offset = 3 if p.n == 4 else 2
-    _emit([(spec.theorem, eps, t, t + offset)], ("theorem", "epsilon", "t", "wall_clock_t"), values)
+    _emit([(spec.theorem, eps, t, wall_clock_step(p, t))], ("theorem", "epsilon", "t", "wall_clock_t"), values)
     return 0
+
+
+def _mc_config(values, replicas, horizon):
+    return McConfig(
+        n_replicas=int(values.get("replicas", replicas)),
+        horizon=int(values.get("horizon", horizon)),
+        seed=int(values.get("seed", DEFAULT_SEED)),
+        workers=int(values.get("workers", os.cpu_count() or 1)),
+    )
 
 
 def _cmd_simulate(values, p):
     u0, w0 = _default_starts(values, p)
-    cfg = McConfig(
-        n_replicas=int(values.get("replicas", 10_000)),
-        horizon=int(values.get("horizon", 1_000)),
-        seed=int(values.get("seed", DEFAULT_SEED)),
-        workers=int(values.get("workers", os.cpu_count() or 1)),
-    )
+    cfg = _mc_config(values, 10_000, 1_000)
     dump = values.get("dump_trajectory")
     if dump:
-        columns = TRAJECTORY_COLUMNS if p.n == 4 else N3_TRAJECTORY_COLUMNS
         rows = trajectory(p, u0, w0, cfg.horizon, cfg.seed)
-        text = ",".join(columns) + "\n"
+        text = ",".join(rows[0]) + "\n"
         for row in rows:
-            text += ",".join(_fmt(row[c]) for c in columns) + "\n"
+            text += ",".join(_fmt(v) for v in row.values()) + "\n"
         with open(dump, "w", newline="") as fh:
             fh.write(text)
     stats = run_replicas(p, u0, w0, cfg)
@@ -269,12 +263,7 @@ def _cmd_simulate(values, p):
 
 def _cmd_verify(values, p):
     quick = bool(values.get("quick"))
-    cfg = McConfig(
-        n_replicas=int(values.get("replicas", 1_000 if quick else 10_000)),
-        horizon=int(values.get("horizon", 100 if quick else 1_000)),
-        seed=int(values.get("seed", DEFAULT_SEED)),
-        workers=int(values.get("workers", os.cpu_count() or 1)),
-    )
+    cfg = _mc_config(values, 1_000 if quick else 10_000, 100 if quick else 1_000)
     grid = [int(v) for v in _parse_floats(values.get("t_grid", "5,10,25,50,100"))]
     reports = verify_suite(p, cfg, t_grid=tuple(grid))
     # wall-clock runtime stays out of the CSV so reruns are byte-identical

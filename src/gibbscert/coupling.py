@@ -1,23 +1,27 @@
 """Monotone (uniform) coupling and one-shot maximal coupling of reduced chains.
 
-The uniform coupling drives every chain with the same innovation block, which
-preserves the componentwise partial order.  The one-shot coupling attempts an
-exact coalescence at a chosen time: conditionally on the shared odd-coordinate
-innovations, each even coordinate is gamma with a state-dependent rate, and
-matching coordinates are coupled by the area-under-the-density construction
-(candidate drawn under the lower chain's density; chains coalesce when the
-point also lies under the other density).  When a bracketed inner pair is
-supplied, all four chains share the candidate; the envelope inequality on
-ordered-rate gamma densities guarantees the construction stays consistent.
+States are tuples of even coordinates, ``(u2, u4)`` for n = 4 and ``(u,)``
+for n = 3 (see :mod:`gibbscert.chain`).  The uniform coupling drives every
+chain with the same innovation block, which preserves the componentwise
+partial order.  The one-shot coupling attempts an exact coalescence at a
+chosen time: conditionally on the shared odd-coordinate innovations, each even
+coordinate is gamma with a state-dependent rate, and matching coordinates are
+coupled by the area-under-the-density construction of
+:func:`one_shot_attempt` (candidate drawn under the lower chain's density;
+chains coalesce when the point also lies under the other density).  When a
+bracketed inner pair is supplied, all four chains share the candidate; the
+envelope inequality on ordered-rate gamma densities guarantees the
+construction stays consistent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .chain import GammaBlock, ModelParams, step_reduced
+from .chain import GammaBlock, ModelParams, as_state, block_shapes, reduced_rates, step_reduced
 from .gamma import gamma_tv
 from .rng import RngStream
 
@@ -26,6 +30,7 @@ __all__ = [
     "CouplingOutcome",
     "envelope_init",
     "uniform_coupled_step",
+    "one_shot_attempt",
     "maximal_gamma_couple",
     "one_shot_step",
     "reduced_rates",
@@ -36,8 +41,9 @@ __all__ = [
 class EnvelopeInit:
     """Envelope corners squeezing two arbitrary starting points.
 
-    ``u0 = (m, m)`` and ``w0 = (M, M)`` with ``m``/``M`` the min/max of the
-    four input coordinates; ``r0 = M/m`` and ``j0 = 2m + 1/(2m)``.
+    With ``k`` even coordinates, ``u0 = (m,) * k`` and ``w0 = (M,) * k`` with
+    ``m``/``M`` the min/max of all input coordinates; ``r0 = M/m`` and
+    ``j0 = k*m + 1/(k*m)``.
     """
 
     u0: tuple
@@ -47,11 +53,13 @@ class EnvelopeInit:
 
 
 def envelope_init(U0, W0) -> EnvelopeInit:
-    m = np.minimum(np.minimum(U0[0], U0[1]), np.minimum(W0[0], W0[1]))
-    M = np.maximum(np.maximum(U0[0], U0[1]), np.maximum(W0[0], W0[1]))
+    coords = as_state(U0) + as_state(W0)
+    k = len(coords) // 2
+    m = reduce(np.minimum, coords)
+    M = reduce(np.maximum, coords)
     if np.any(np.asarray(m) <= 0):
         raise ValueError("states must be strictly positive")
-    return EnvelopeInit(u0=(m, m), w0=(M, M), r0=M / m, j0=2.0 * m + 1.0 / (2.0 * m))
+    return EnvelopeInit(u0=(m,) * k, w0=(M,) * k, r0=M / m, j0=k * m + 1.0 / (k * m))
 
 
 def uniform_coupled_step(u, w, g: GammaBlock, p: ModelParams):
@@ -59,49 +67,56 @@ def uniform_coupled_step(u, w, g: GammaBlock, p: ModelParams):
     return step_reduced(u, g, p), step_reduced(w, g, p)
 
 
-def reduced_rates(s, g13, p: ModelParams):
-    """Conditional gamma rates of the next (u2, u4) given state and (g1, g3)."""
-    u2, u4 = s
-    g1, g3 = g13
-    d2 = g1 / (p.x + u2) + g3 / (u2 + u4)
-    d4 = p.b + g3 / (u2 + u4)
-    return d2, d4
-
-
 def _log_density_ratio(y, shape, rate_a, rate_b):
     # log f_a(y) - log f_b(y) for common-shape gammas
     return shape * (np.log(rate_a) - np.log(rate_b)) - (rate_a - rate_b) * y
 
 
+def one_shot_attempt(shape, rate_u, rate_w, rng: RngStream):
+    """Candidate under the ``rate_u`` density, accepted for both chains if under ``rate_w``'s.
+
+    Returns ``(y, coalesced)``: ``y ~ Gamma(shape, rate_u)`` and a uniform
+    vertical coordinate under its density; the point also lies under the
+    ``rate_w`` density (ties resolve toward coalescence) with probability
+    ``1 - gamma_tv(shape, rate_u, rate_w)``.  Rates are arrays of one shape.
+    """
+    y = rng.gamma(shape, size=rate_u.shape) / rate_u
+    log_v = np.log(rng.uniform(size=rate_u.shape))  # vertical coord as fraction of f_u
+    return y, log_v <= _log_density_ratio(y, shape, rate_w, rate_u)
+
+
+def _residual_from(shape, rate_target, rate_u, rate_w, rng, idx, out):
+    """Rejection-sample the part of the target density above min(f_u, f_w) into ``out[idx]``."""
+    pending = idx
+    while pending.size:
+        prop = rng.gamma(shape, size=pending.size) / rate_target[pending]
+        log_vp = np.log(rng.uniform(size=pending.size))
+        floor = np.minimum(
+            _log_density_ratio(prop, shape, rate_u[pending], rate_target[pending]),
+            _log_density_ratio(prop, shape, rate_w[pending], rate_target[pending]),
+        )
+        accept = log_vp > floor
+        out[pending[accept]] = prop[accept]
+        pending = pending[~accept]
+
+
 def maximal_gamma_couple(shape, rate_u, rate_w, rng: RngStream, size=None):
     """Maximally couple Gamma(shape, rate_u) and Gamma(shape, rate_w).
 
-    Returns ``(y_u, y_w, coalesced)``.  The candidate is drawn under the
-    ``rate_u`` density; it is kept for both chains when the uniform vertical
-    coordinate also falls under the ``rate_w`` density (ties resolve toward
-    coalescence), so ``P[coalesced] = 1 - gamma_tv(shape, rate_u, rate_w)``.
-    Otherwise ``y_w`` is resampled by rejection from the part of the
-    ``rate_w`` density above the pointwise minimum.  Both marginals are exact.
+    Returns ``(y_u, y_w, coalesced)``.  The pair coalesces on a
+    :func:`one_shot_attempt`, so ``P[coalesced] = 1 - gamma_tv(shape, rate_u,
+    rate_w)``.  Otherwise ``y_w`` is resampled by rejection from the part of
+    the ``rate_w`` density above the pointwise minimum.  Both marginals are
+    exact.
     """
     scalar = size is None and np.ndim(rate_u) == 0 and np.ndim(rate_w) == 0
     n = 1 if scalar else (size if size is not None else np.broadcast(rate_u, rate_w).shape)
     rate_u = np.broadcast_to(np.asarray(rate_u, dtype=float), n).ravel()
     rate_w = np.broadcast_to(np.asarray(rate_w, dtype=float), n).ravel()
 
-    y_u = rng.gamma(shape, size=rate_u.shape) / rate_u
-    log_v = np.log(rng.uniform(size=rate_u.shape))  # vertical coord as fraction of f_u
-    coalesced = log_v <= _log_density_ratio(y_u, shape, rate_w, rate_u)
-
+    y_u, coalesced = one_shot_attempt(shape, rate_u, rate_w, rng)
     y_w = np.where(coalesced, y_u, np.nan)
-    pending = np.flatnonzero(~coalesced)
-    while pending.size:
-        prop = rng.gamma(shape, size=pending.size) / rate_w[pending]
-        log_vp = np.log(rng.uniform(size=pending.size))
-        # accept points above min(f_u, f_w) and below f_w
-        floor = np.minimum(0.0, _log_density_ratio(prop, shape, rate_u[pending], rate_w[pending]))
-        accept = log_vp > floor
-        y_w[pending[accept]] = prop[accept]
-        pending = pending[~accept]
+    _residual_from(shape, rate_w, rate_u, rate_w, rng, np.flatnonzero(~coalesced), y_w)
 
     if scalar:
         return float(y_u[0]), float(y_w[0]), bool(coalesced[0])
@@ -126,94 +141,50 @@ class CouplingOutcome:
     inner_next: Optional[Tuple[tuple, tuple]] = None
 
 
-def _residual_from(shape, rate_target, rate_u, rate_w, rng, idx, out):
-    """Rejection-sample the part of the target density above min(f_u, f_w)."""
-    pending = idx
-    while pending.size:
-        prop = rng.gamma(shape, size=pending.size) / rate_target[pending]
-        log_vp = np.log(rng.uniform(size=pending.size))
-        floor = np.minimum(
-            _log_density_ratio(prop, shape, rate_u[pending], rate_target[pending]),
-            _log_density_ratio(prop, shape, rate_w[pending], rate_target[pending]),
-        )
-        accept = log_vp > floor
-        out[pending[accept]] = prop[accept]
-        pending = pending[~accept]
-
-
 def one_shot_step(u, w, inner, g13, p: ModelParams, rng: RngStream) -> CouplingOutcome:
     """One-shot coupling of the reduced chains (and optionally an inner pair).
 
-    All chains share ``g13 = (g1, g3)``; coordinates 2 and 4 are then coupled
-    through their conditional gamma distributions.  With ``inner=(U, W)``
+    All chains share ``g13 = (g1, g3)``; each even coordinate is then coupled
+    through its conditional gamma distribution by :func:`one_shot_attempt`,
+    and the chains that miss draw their residuals.  With ``inner=(U, W)``
     supplied, ``u <= {U, W} <= w`` componentwise is required; inner chains can
     only disagree at a coordinate where the outer pair disagrees.
     """
-    if p.n != 4:
-        raise ValueError("one_shot_step drives the n=4 reduced chain")
     scalar = np.ndim(u[0]) == 0
-    as_vec = lambda v: np.atleast_1d(np.asarray(v, dtype=float))
-    u = (as_vec(u[0]), as_vec(u[1]))
-    w = (as_vec(w[0]), as_vec(w[1]))
-    g13 = (as_vec(g13[0]), as_vec(g13[1]))
-    if np.any(u[0] > w[0]) or np.any(u[1] > w[1]):
+    as_vec = lambda s: tuple(np.atleast_1d(np.asarray(c, dtype=float)) for c in s)
+    u, w, g13 = as_vec(u), as_vec(w), as_vec(g13)
+    if any(np.any(a > b) for a, b in zip(u, w)):
         raise ValueError("one_shot_step requires u <= w componentwise")
+    chains = [u, w]
     if inner is not None:
-        U, W = inner
-        U = (as_vec(U[0]), as_vec(U[1]))
-        W = (as_vec(W[0]), as_vec(W[1]))
-        for s in (U, W):
-            if np.any(s[0] < u[0]) or np.any(s[1] < u[1]) or np.any(s[0] > w[0]) or np.any(s[1] > w[1]):
+        chains += [as_vec(s) for s in inner]
+        for s in chains[2:]:
+            if any(np.any(c < lo) or np.any(c > hi) for c, lo, hi in zip(s, u, w)):
                 raise ValueError("inner chains must lie between u and w componentwise")
 
-    du = reduced_rates(u, g13, p)
-    dw = reduced_rates(w, g13, p)
-    d_inner = None
-    if inner is not None:
-        d_inner = (reduced_rates(U, g13, p), reduced_rates(W, g13, p))
-
-    shapes = (p.a[1] + p.a[2], p.a[3] + p.a[4])
-    out_u, out_w, flags, overlaps = [], [], [], []
-    out_U, out_W = [], []
-    for i in (0, 1):
-        alpha = shapes[i]
-        ru, rw = du[i], dw[i]
-        y = rng.gamma(alpha, size=ru.shape) / ru
-        log_v = np.log(rng.uniform(size=ru.shape))
-        coal = log_v <= _log_density_ratio(y, alpha, rw, ru)
+    rates = [reduced_rates(s, g13, p) for s in chains]
+    out = [[] for _ in chains]
+    flags, overlaps = [], []
+    for i, alpha in enumerate(block_shapes(p)[1::2]):
+        ru, rw = rates[0][i], rates[1][i]
+        y, coal = one_shot_attempt(alpha, ru, rw, rng)
         tv, _ = gamma_tv(alpha, ru, rw)
         overlaps.append(1.0 - np.atleast_1d(tv))
-
-        yw = np.where(coal, y, np.nan)
-        _residual_from(alpha, rw, ru, rw, rng, np.flatnonzero(~coal), yw)
-        out_u.append(y)
-        out_w.append(yw)
         flags.append(coal)
+        out[0].append(y)
+        miss = np.flatnonzero(~coal)
+        for k in range(1, len(chains)):
+            yk = np.where(coal, y, np.nan)
+            _residual_from(alpha, rates[k][i], ru, rw, rng, miss, yk)
+            out[k].append(yk)
 
-        if inner is not None:
-            rU, rW = d_inner[0][i], d_inner[1][i]
-            yU = np.where(coal, y, np.nan)
-            yW = np.where(coal, y, np.nan)
-            miss = np.flatnonzero(~coal)
-            _residual_from(alpha, rU, ru, rw, rng, miss, yU)
-            _residual_from(alpha, rW, ru, rw, rng, miss, yW)
-            out_U.append(yU)
-            out_W.append(yW)
-
-    coal_all = flags[0] & flags[1]
-    unwrap = (lambda v: float(v[0])) if scalar else (lambda v: v)
-    unwrap_b = (lambda v: bool(v[0])) if scalar else (lambda v: v)
-    inner_next = None
-    if inner is not None:
-        inner_next = (
-            (unwrap(out_U[0]), unwrap(out_U[1])),
-            (unwrap(out_W[0]), unwrap(out_W[1])),
-        )
+    unwrap = (lambda v: v[0].item()) if scalar else (lambda v: v)
+    tup = lambda vs: tuple(map(unwrap, vs))
     return CouplingOutcome(
-        u_next=(unwrap(out_u[0]), unwrap(out_u[1])),
-        w_next=(unwrap(out_w[0]), unwrap(out_w[1])),
-        coalesced=(unwrap_b(flags[0]), unwrap_b(flags[1])),
-        coalesced_all=unwrap_b(coal_all),
-        overlap=(unwrap(overlaps[0]), unwrap(overlaps[1])),
-        inner_next=inner_next,
+        u_next=tup(out[0]),
+        w_next=tup(out[1]),
+        coalesced=tup(flags),
+        coalesced_all=unwrap(np.logical_and.reduce(flags)),
+        overlap=tup(overlaps),
+        inner_next=(tup(out[2]), tup(out[3])) if inner is not None else None,
     )

@@ -1,11 +1,13 @@
-"""Ratio process, drift quantities, and pathwise inequality checkers (n = 4).
+"""Ratio process, drift quantities, and pathwise inequality checkers.
 
 A coupled record tracks the lower chain ``u``, the upper chain ``w``, and the
 auxiliary pair ``v_tilde = F(v)`` / ``v = R * u`` that dominates ``w`` while
 keeping both coordinates at the exact common ratio ``R``.  ``R`` is
 non-increasing; the drift terms ``K1 = u2 + u4`` and
 ``K2 = (u1 + u3 + b) / (g2 + g4)`` control how fast it contracts, through the
-dominating process ``D`` and the i.i.d. weights ``omega``.
+dominating process ``D`` and the i.i.d. weights ``omega``.  States are tuples
+of even coordinates (see :mod:`gibbscert.chain`).  For n = 3 the scalar pair
+is coupled directly: ``v = w``, ``R = w/u``, ``K1 = u`` and ``K2 = 1/u``.
 
 Every inequality the construction rests on is checkable pathwise; see
 :func:`check_pathwise`.  Checks carry a relative slack of ``1e-10`` to absorb
@@ -18,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import GammaBlock, ModelParams, step_reduced
+from .chain import GammaBlock, ModelParams, odd_coordinates, step_reduced
 from .coupling import envelope_init
 
 __all__ = [
@@ -33,12 +35,9 @@ __all__ = [
     "compute_omegas",
     "check_pathwise",
     "assert_pathwise",
-    "TRAJECTORY_COLUMNS",
 ]
 
 REL_SLACK = 1e-10
-
-TRAJECTORY_COLUMNS = ("t", "u2", "u4", "w2", "w4", "v2", "v4", "R", "Q", "K1", "K2", "J", "D")
 
 
 class PathwiseViolation(AssertionError):
@@ -50,9 +49,11 @@ class CoupledRecord:
     """Per-step state of the coupled system (scalar or replica-vectorized).
 
     ``q`` is the contraction factor of the transition that produced this
-    record (NaN at t=0), ``omegas`` the weights of the producing block, and
-    ``u_full`` the 4-coordinate lower chain whose odd coordinates feed ``k2``.
-    ``d`` is defined for t >= 1 only.
+    record, ``omegas`` the weights of the producing block, and ``u_full`` the
+    4-coordinate lower chain whose odd coordinates feed ``k2``.  ``q`` and
+    ``d`` are NaN at t = 0; ``omegas`` and ``u_full`` are None there.  n = 3
+    records have no dominating process: past t = 0 those fields and ``r_hat``
+    are None.
     """
 
     t: int
@@ -61,14 +62,14 @@ class CoupledRecord:
     v_tilde: tuple
     v: tuple
     ratio: object
-    q: object
-    r_hat: object
     k1: object
     k2: object
     j: object
-    d: object
-    omegas: tuple
-    u_full: tuple
+    q: object = None
+    r_hat: object = None
+    d: object = None
+    omegas: Optional[tuple] = None
+    u_full: Optional[tuple] = None
 
 
 def _mu(p: ModelParams):
@@ -84,12 +85,12 @@ def _d_coeffs(p: ModelParams):
 
 
 def init_record(U0, W0) -> CoupledRecord:
-    """Envelope-initialized record at t = 0 (v = w = (M, M), u = (m, m))."""
+    """Envelope-initialized record at t = 0 (v = w = (M, ..., M), u = (m, ..., m))."""
     env = envelope_init(U0, W0)
     u, w = env.u0, env.w0
     nan = np.full_like(np.asarray(u[0], dtype=float), np.nan) if np.ndim(u[0]) else float("nan")
-    k1 = u[0] + u[1]
-    k2 = 1.0 / (u[0] + u[1])
+    k1 = sum(u[1:], u[0])
+    k2 = 1.0 / k1
     return CoupledRecord(
         t=0,
         u=u,
@@ -97,14 +98,11 @@ def init_record(U0, W0) -> CoupledRecord:
         v_tilde=w,
         v=w,
         ratio=env.r0,
-        q=nan,
-        r_hat=None,
         k1=k1,
         k2=k2,
         j=k1 + k2,
+        q=nan,
         d=nan,
-        omegas=(nan, nan, nan, nan),
-        u_full=(nan, u[0], nan, u[1]),
     )
 
 
@@ -174,17 +172,29 @@ def ratio_step(rec: CoupledRecord, g: GammaBlock, p: ModelParams) -> CoupledReco
     ``u' = F(u)``, ``w' = F(w)``, ``v_tilde' = F(v)``,
     ``R' = max{v_tilde2'/u2', v_tilde4'/u4'}``, ``v' = R' * u'``; drift
     quantities are refreshed from the block that produced the new state.
+    For n = 3, ``R' = w'/u'`` directly.
     """
     u_next = step_reduced(rec.u, g, p)
     w_next = step_reduced(rec.w, g, p)
+    if p.n == 3:
+        k2 = 1.0 / u_next[0]
+        return CoupledRecord(
+            t=rec.t + 1,
+            u=u_next,
+            w=w_next,
+            v_tilde=w_next,
+            v=w_next,
+            ratio=w_next[0] / u_next[0],
+            k1=u_next[0],
+            k2=k2,
+            j=u_next[0] + k2,
+        )
     vt_next = step_reduced(rec.v, g, p)
     q = compute_q(rec.u, rec.v, g, p)
     ratio = np.maximum(vt_next[0] / u_next[0], vt_next[1] / u_next[1])
     v_next = (ratio * u_next[0], ratio * u_next[1])
 
-    g1, _, g3, _ = g.gamma
-    u1_next = g1 / (p.x + rec.u[0])
-    u3_next = g3 / (rec.u[0] + rec.u[1])
+    u1_next, u3_next = odd_coordinates(rec.u, g.gamma[0::2], p)
     u_full_next = (u1_next, u_next[0], u3_next, u_next[1])
     k1, k2, j, d = drift_quantities(u_full_next, g, p, rec.t + 1)
     return CoupledRecord(
@@ -214,8 +224,11 @@ def check_pathwise(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p
 
     ``g`` must be the block that produced ``rec_t1`` from ``rec_t``.  Returns
     a dict of named booleans (arrays when the records are vectorized), each
-    allowing relative slack ``1e-10``.
+    allowing relative slack ``1e-10``.  For n = 3 the four scalar-chain
+    inequalities are checked instead.
     """
+    if p.n == 3:
+        return _check_pathwise_n3(rec_t, rec_t1, g, p)
     g1, g2, g3, g4 = g.gamma
     u2, u4 = rec_t.u
     u2n, u4n = rec_t1.u
@@ -248,6 +261,18 @@ def check_pathwise(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p
     # (vii) exact ratio equality of v over u in both coordinates
     checks["ratio_equality"] = np.abs(v2n / u2n - v4n / u4n) <= REL_SLACK * rec_t1.ratio
     return checks
+
+
+def _check_pathwise_n3(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p: ModelParams):
+    """Order, ratio contraction, sum recursion and inverse bound of the scalar pair."""
+    g1, g2, g3 = g.gamma
+    (u,), (u_next,), (w_next,) = rec_t.u, rec_t1.u, rec_t1.w
+    return {
+        "order": u_next <= w_next,
+        "ratio_contraction": _leq(rec_t1.ratio, rec_t.ratio),
+        "sum_recursion": _leq(u_next, (g2 / (g1 + g3)) * (u + p.x + p.b)),
+        "inverse_bound": _leq(rec_t1.k2, g1 / (g2 * p.x) + g3 / (g2 * p.b)),
+    }
 
 
 def assert_pathwise(checks, rec_t: CoupledRecord, rec_t1: CoupledRecord):

@@ -58,10 +58,6 @@ class RngStream:
     def __post_init__(self):
         self._gen = np.random.Generator(np.random.PCG64(mix_seed(self.seed, self.stream_id)))
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """A fresh stream with the same master seed and a new stream id."""
-        return RngStream(self.seed, stream_id)
-
     def gamma(self, shape, size=None):
         """Unit-rate gamma draws; exact for every shape > 0."""
         out = self._gen.standard_gamma(shape, size=size)
@@ -70,10 +66,5 @@ class RngStream:
 
     def uniform(self, size=None):
         out = self._gen.random(size=size)
-        self.position += int(np.size(out))
-        return out
-
-    def exponential(self, size=None):
-        out = self._gen.standard_exponential(size=size)
         self.position += int(np.size(out))
         return out

@@ -5,6 +5,12 @@ inequality on every step, estimates total variation by one-shot coupling,
 and verifies the probabilistic ingredients (drift conditions, stopping-time
 contraction, excursion counts) at desk scale.
 
+States are tuples of even coordinates, ``(u2, u4)`` for n = 4 and ``(u,)``
+for n = 3 (a bare scalar is accepted for the latter); the replica loop, the
+trajectory dump and the TV harness serve both depths, and only the checked
+per-step update (:func:`~gibbscert.ratio_drift.ratio_step` with
+:func:`~gibbscert.ratio_drift.check_pathwise`) and the bound theorem differ.
+
 Reproducibility contract: replicas are processed in fixed-size chunks and
 chunk ``i`` always draws from ``RngStream(seed, stream_id=i + offset)``, so
 results are bit-identical across runs and across worker counts; workers only
@@ -21,12 +27,12 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special as sp
 
-from .bounds import BoundSpec, evaluate_bound
-from .chain import ModelParams, block_shapes, draw_block, step_n3
+from .bounds import BoundSpec, evaluate_bound, wall_clock_step
+from .chain import ModelParams, ParamError, block_shapes, draw_block, reduced_rates, step, step_full
 from .constants import ConstantsTable, compute_constants, ratio_expectation_closed_form
-from .coupling import envelope_init, reduced_rates
+from .coupling import envelope_init, one_shot_attempt
 from .gamma import gamma_tv
-from .ratio_drift import assert_pathwise, check_pathwise, init_record, ratio_step
+from .ratio_drift import PathwiseViolation, assert_pathwise, check_pathwise, drift_quantities, init_record, ratio_step
 from .rng import RngStream
 
 __all__ = [
@@ -34,7 +40,6 @@ __all__ = [
     "McReport",
     "ReplicaStats",
     "run_replicas",
-    "TvEstimate",
     "estimate_tv_by_coupling",
     "verify_drift_mc",
     "history_states",
@@ -48,7 +53,6 @@ __all__ = [
     "tv_grid_reports",
     "default_drift_states",
     "trajectory",
-    "N3_TRAJECTORY_COLUMNS",
 ]
 
 VISIT_TMAX = 20
@@ -67,7 +71,9 @@ class McConfig:
 
     def __post_init__(self):
         if self.n_replicas < 100:
-            raise ValueError("n_replicas must be at least 100 for CI-based checks")
+            raise ParamError(f"n_replicas must be at least 100 for CI-based checks, got {self.n_replicas}")
+        if self.horizon < 1:
+            raise ParamError(f"horizon must be at least 1, got {self.horizon}")
 
 
 @dataclass
@@ -135,7 +141,6 @@ class ReplicaStats:
     mean_ratio: np.ndarray        # E[R_t], t = 0..horizon
     se_ratio: np.ndarray
     visits_hist: np.ndarray         # counts of |S_bar_t| = k for t, k <= VISIT_TMAX
-    violations: int = 0
 
     @property
     def mean_ratio_minus_1(self):
@@ -151,15 +156,13 @@ def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[Constant
     the scalar-chain inequalities are checked instead.
     """
     table = table or compute_constants(p)
-    if p.n == 3:
-        return _run_replicas_n3(p, U0, W0, cfg, table)
     eta = table.eta
     env = envelope_init(U0, W0)
     horizon = cfg.horizon
 
     def chunk_fn(chunk_id, m):
         rng = RngStream(cfg.seed, stream_id=chunk_id)
-        rec = init_record(_broadcast_state(U0, m), _broadcast_state(W0, m))
+        rec = init_record(_broadcast_state(env.u0, m), _broadcast_state(env.w0, m))
         s1 = np.zeros(horizon + 1)
         s2 = np.zeros(horizon + 1)
         s1[0] = np.sum(rec.ratio)
@@ -188,72 +191,21 @@ def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[Constant
     se = np.sqrt(var / n)
     return ReplicaStats(
         n=n, horizon=horizon, r0=float(env.r0), j0=float(env.j0), eta=float(eta),
-        mean_ratio=mean, se_ratio=se, visits_hist=hist, violations=0,
+        mean_ratio=mean, se_ratio=se, visits_hist=hist,
     )
 
 
-def _run_replicas_n3(p: ModelParams, U0, W0, cfg: McConfig, table: ConstantsTable) -> ReplicaStats:
-    """Scalar-chain coupled sweep: direct ratio, order/ratio/drift checks each step."""
-    from .ratio_drift import REL_SLACK, PathwiseViolation
-
-    eta = table.eta
-    m0 = min(float(U0), float(W0))
-    M0 = max(float(U0), float(W0))
-    if m0 <= 0:
-        raise ValueError("states must be strictly positive")
-    horizon = cfg.horizon
-    shapes = block_shapes(p)
-
-    def chunk_fn(chunk_id, m):
-        rng = RngStream(cfg.seed, stream_id=chunk_id)
-        u = np.full(m, m0)
-        w = np.full(m, M0)
-        ratio = w / u
-        s1 = np.zeros(horizon + 1)
-        s2 = np.zeros(horizon + 1)
-        s1[0] = ratio.sum()
-        s2[0] = np.square(ratio).sum()
-        cum = np.zeros(m, dtype=np.int64)
-        hist = np.zeros((VISIT_TMAX + 1, VISIT_TMAX + 2), dtype=np.int64)
-        for t in range(1, horizon + 1):
-            g1 = rng.gamma(shapes[0], size=m)
-            g2 = rng.gamma(shapes[1], size=m)
-            g3 = rng.gamma(shapes[2], size=m)
-            u_next = g2 / (g1 / (u + p.x) + g3 / (u + p.b))
-            w_next = g2 / (g1 / (w + p.x) + g3 / (w + p.b))
-            ratio_next = w_next / u_next
-            checks = {
-                "order": u_next <= w_next,
-                "ratio_contraction": ratio_next <= ratio * (1 + REL_SLACK),
-                "sum_recursion": u_next <= (g2 / (g1 + g3)) * (u + p.x + p.b) * (1 + REL_SLACK),
-                "inverse_bound": 1.0 / u_next <= (g1 / (g2 * p.x) + g3 / (g2 * p.b)) * (1 + REL_SLACK),
-            }
-            for name, ok in checks.items():
-                if not np.all(ok):
-                    idx = np.flatnonzero(~ok)[:5]
-                    raise PathwiseViolation(
-                        f"n=3 pathwise check {name} failed at t={t}: "
-                        f"u={u[idx].tolist()}, w={w[idx].tolist()}, "
-                        f"u'={u_next[idx].tolist()}, w'={w_next[idx].tolist()}")
-            u, w, ratio = u_next, w_next, ratio_next
-            s1[t] = ratio.sum()
-            s2[t] = np.square(ratio).sum()
-            if t <= VISIT_TMAX:
-                cum += (u + 1.0 / u <= eta)
-                hist[t] += np.bincount(cum, minlength=VISIT_TMAX + 2)
-        return s1, s2, hist
-
-    parts = _run_chunked(chunk_fn, cfg.n_replicas, cfg)
-    s1 = sum(part[0] for part in parts)
-    s2 = sum(part[1] for part in parts)
-    hist = sum(part[2] for part in parts)
-    n = cfg.n_replicas
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean ** 2, 0.0)
-    return ReplicaStats(
-        n=n, horizon=horizon, r0=M0 / m0, j0=m0 + 1.0 / m0, eta=float(eta),
-        mean_ratio=mean, se_ratio=np.sqrt(var / n), visits_hist=hist, violations=0,
-    )
+def _trajectory_row(rec, p: ModelParams):
+    if p.n == 3:
+        return {"t": rec.t, "u": float(rec.u[0]), "w": float(rec.w[0]), "R": float(rec.ratio),
+                "K1": float(rec.k1), "K2": float(rec.k2), "J": float(rec.j)}
+    return {
+        "t": rec.t, "u2": float(rec.u[0]), "u4": float(rec.u[1]),
+        "w2": float(rec.w[0]), "w4": float(rec.w[1]),
+        "v2": float(rec.v[0]), "v4": float(rec.v[1]),
+        "R": float(rec.ratio), "Q": float(rec.q), "K1": float(rec.k1),
+        "K2": float(rec.k2), "J": float(rec.j), "D": float(rec.d),
+    }
 
 
 def trajectory(p: ModelParams, U0, W0, horizon: int, seed: int):
@@ -262,46 +214,12 @@ def trajectory(p: ModelParams, U0, W0, horizon: int, seed: int):
     Columns follow the n = 4 record (t, u2, ..., D); for n = 3 the scalar
     analogue (t, u, w, R, K1, K2, J) is emitted.
     """
-    if p.n == 3:
-        return _trajectory_n3(p, U0, W0, horizon, seed)
     rng = RngStream(seed, stream_id=0)
-    rec = init_record(tuple(map(float, U0)), tuple(map(float, W0)))
-    rows = []
-
-    def row(r):
-        return {
-            "t": r.t, "u2": float(r.u[0]), "u4": float(r.u[1]),
-            "w2": float(r.w[0]), "w4": float(r.w[1]),
-            "v2": float(r.v[0]), "v4": float(r.v[1]),
-            "R": float(r.ratio), "Q": float(r.q), "K1": float(r.k1),
-            "K2": float(r.k2), "J": float(r.j), "D": float(r.d),
-        }
-
-    rows.append(row(rec))
+    rec = init_record(U0, W0)
+    rows = [_trajectory_row(rec, p)]
     for t in range(1, horizon + 1):
-        block = draw_block(p, rng, t=t)
-        rec = ratio_step(rec, block, p)
-        rows.append(row(rec))
-    return rows
-
-
-N3_TRAJECTORY_COLUMNS = ("t", "u", "w", "R", "K1", "K2", "J")
-
-
-def _trajectory_n3(p: ModelParams, U0, W0, horizon: int, seed: int):
-    rng = RngStream(seed, stream_id=0)
-    u = min(float(U0), float(W0))
-    w = max(float(U0), float(W0))
-
-    def row(t, u, w):
-        return {"t": t, "u": u, "w": w, "R": w / u, "K1": u, "K2": 1.0 / u, "J": u + 1.0 / u}
-
-    rows = [row(0, u, w)]
-    for t in range(1, horizon + 1):
-        block = draw_block(p, rng, t=t)
-        u = float(step_n3(u, block, p))
-        w = float(step_n3(w, block, p))
-        rows.append(row(t, u, w))
+        rec = ratio_step(rec, draw_block(p, rng, t=t), p)
+        rows.append(_trajectory_row(rec, p))
     return rows
 
 
@@ -312,104 +230,46 @@ def _trajectory_n3(p: ModelParams, U0, W0, horizon: int, seed: int):
 def _one_shot_indicators(p: ModelParams, u, w, rng: RngStream):
     """Miscoupling indicator and conditional miscoupling probability.
 
-    One one-shot attempt per replica: shared (g1, g3), candidate under the
-    lower chain's conditional density per coordinate.  The conditional
+    One :func:`~gibbscert.coupling.one_shot_attempt` per even coordinate and
+    replica, with shared (g1, g3); no residuals are drawn.  The conditional
     probability ``1 - prod_i overlap_i`` integrates the vertical coordinate
     out analytically.
     """
-    if p.n == 4:
-        m = u[0].shape
-        a1, a2, a3, a4 = block_shapes(p)
-        g1 = rng.gamma(a1, size=m)
-        g3 = rng.gamma(a3, size=m)
-        du = reduced_rates(u, (g1, g3), p)
-        dw = reduced_rates(w, (g1, g3), p)
-        miss = np.zeros(m, dtype=bool)
-        overlap = np.ones(m)
-        for alpha, ru, rw in ((a2, du[0], dw[0]), (a4, du[1], dw[1])):
-            y = rng.gamma(alpha, size=m) / ru
-            log_v = np.log(rng.uniform(size=m))
-            coal = log_v <= alpha * (np.log(rw) - np.log(ru)) - (rw - ru) * y
-            miss |= ~coal
-            tv, _ = gamma_tv(alpha, ru, rw)
-            overlap = overlap * (1.0 - tv)
-        return miss, 1.0 - overlap
-    # n = 3: scalar chain, single coordinate
-    m = u.shape
-    a1, a2, a3 = block_shapes(p)
-    g1 = rng.gamma(a1, size=m)
-    g3 = rng.gamma(a3, size=m)
-    du = g1 / (u + p.x) + g3 / (u + p.b)
-    dw = g1 / (w + p.x) + g3 / (w + p.b)
-    y = rng.gamma(a2, size=m) / du
-    log_v = np.log(rng.uniform(size=m))
-    coal = log_v <= a2 * (np.log(dw) - np.log(du)) - (dw - du) * y
-    tv, _ = gamma_tv(a2, du, dw)
-    return ~coal, tv
-
-
-@dataclass
-class TvEstimate:
-    """Coupling-based total variation estimate at one theorem index."""
-
-    t: int
-    wall_clock_t: int
-    fraction: float
-    fraction_se: float
-    conditional: float
-    conditional_se: float
-    bound: float
-    n: int
-    r0: float
-    j0: float
+    shapes = block_shapes(p)
+    g_odd = [rng.gamma(a, size=u[0].shape) for a in shapes[0::2]]
+    miss, cond = False, None
+    for alpha, ru, rw in zip(shapes[1::2], reduced_rates(u, g_odd, p), reduced_rates(w, g_odd, p)):
+        _, coal = one_shot_attempt(alpha, ru, rw, rng)
+        tv, _ = gamma_tv(alpha, ru, rw)
+        miss = miss | ~coal
+        cond = tv if cond is None else 1.0 - (1.0 - cond) * (1.0 - tv)
+    return miss, cond
 
 
 def estimate_tv_by_coupling(p: ModelParams, U0, W0, t: int, cfg: McConfig,
                             table: Optional[ConstantsTable] = None) -> McReport:
     """Estimate TV at theorem index ``t`` via uniform coupling + one shot.
 
-    For n = 4: uniform coupling of the envelope chains to step t+2, one-shot
-    coalescence attempt on the step-(t+3) transition; the estimate is the
-    miscoupling fraction.  For n = 3 the one-shot happens at step t+2.  The
-    conditional (vertical-coordinate-integrated) estimate of the same
-    probability is reported alongside; it resolves probabilities far below
-    1/n_replicas.
+    The envelope chains are uniformly coupled up to the step before the
+    wall-clock step the theorem bounds (``t + 3`` for n = 4, ``t + 2`` for
+    n = 3), and a one-shot coalescence attempt drives the last transition;
+    the estimate is the miscoupling fraction.  The conditional
+    (vertical-coordinate-integrated) estimate of the same probability is
+    reported alongside; it resolves probabilities far below 1/n_replicas.
     """
     table = table or compute_constants(p)
-    n_uniform = t + 2 if p.n == 4 else t + 1
-
-    if p.n == 4:
-        env = envelope_init(U0, W0)
-        r0, j0 = float(env.r0), float(env.j0)
-    else:
-        m0 = min(float(U0), float(W0))
-        M0 = max(float(U0), float(W0))
-        if m0 <= 0:
-            raise ValueError("states must be positive")
-        r0, j0 = M0 / m0, m0 + 1.0 / m0
+    wall_clock_t = wall_clock_step(p, t)
+    env = envelope_init(U0, W0)
+    r0, j0 = float(env.r0), float(env.j0)
 
     def chunk_fn(chunk_id, m):
         rng = RngStream(cfg.seed, stream_id=chunk_id)
-        if p.n == 4:
-            u = _broadcast_state(env.u0, m)
-            w = _broadcast_state(env.w0, m)
-            shapes = block_shapes(p)
-            for s in range(1, n_uniform + 1):
-                block = draw_block(p, rng, t=s, size=m)
-                g1, g2, g3, g4 = block.gamma
-                mid_u = g3 / (u[0] + u[1])
-                mid_w = g3 / (w[0] + w[1])
-                u = (g2 / (g1 / (p.x + u[0]) + mid_u), g4 / (p.b + mid_u))
-                w = (g2 / (g1 / (p.x + w[0]) + mid_w), g4 / (p.b + mid_w))
-            miss, cond = _one_shot_indicators(p, u, w, rng)
-        else:
-            u = np.full(m, m0)
-            w = np.full(m, M0)
-            for s in range(1, n_uniform + 1):
-                block = draw_block(p, rng, t=s, size=m)
-                u = step_n3(u, block, p)
-                w = step_n3(w, block, p)
-            miss, cond = _one_shot_indicators(p, u, w, rng)
+        u = _broadcast_state(env.u0, m)
+        w = _broadcast_state(env.w0, m)
+        for s in range(1, wall_clock_t):
+            g = draw_block(p, rng, t=s, size=m).gamma
+            u, w = step(u, g, p), step(w, g, p)
+        miss, cond = _one_shot_indicators(p, u, w, rng)
         return miss.sum(), cond.sum(), np.square(cond).sum()
 
     t0 = time.perf_counter()
@@ -426,25 +286,19 @@ def estimate_tv_by_coupling(p: ModelParams, U0, W0, t: int, cfg: McConfig,
 
     if p.n == 4:
         theorem = "fixed_start_small_j0" if j0 <= table.eta else "fixed_start"
-        spec = BoundSpec(theorem=theorem, table=table, sum_a=p.sum_tail, r0=r0, j0=j0)
     else:
-        spec = BoundSpec(theorem="n3", table=table, sum_a=p.sum_tail, r0=r0, j0=j0)
+        theorem = "n3"
+    spec = BoundSpec(theorem=theorem, table=table, sum_a=p.sum_tail, r0=r0, j0=j0)
     bound = min(1.0, evaluate_bound(spec, t))
     runtime = time.perf_counter() - t0
 
-    est = TvEstimate(
-        t=t, wall_clock_t=t + 3 if p.n == 4 else t + 2,
-        fraction=frac, fraction_se=frac_se,
-        conditional=cond_mean, conditional_se=cond_se,
-        bound=bound, n=n, r0=r0, j0=j0,
-    )
     report = McReport.one_sided(
         name=f"tv_coupling_n{p.n}_t{t}", estimate=frac, se=frac_se, target=bound,
         sigmas=cfg.confidence_sigmas, n=n, runtime_s=runtime,
-        note=f"one-shot at wall-clock step {est.wall_clock_t}",
+        note=f"one-shot at wall-clock step {wall_clock_t}",
         extra={
             "conditional": cond_mean, "conditional_se": cond_se,
-            "wall_clock_t": est.wall_clock_t, "r0": r0, "j0": j0, "bound": bound,
+            "wall_clock_t": wall_clock_t, "r0": r0, "j0": j0, "bound": bound,
         },
     )
     # the conditional estimator must respect the same bound
@@ -465,14 +319,10 @@ def history_states(p: ModelParams, seed: int, starts: Sequence, steps: Sequence[
     out = []
     for k, ((u2, u4), n_steps) in enumerate(zip(starts, steps)):
         rng = RngStream(seed, stream_id=9_000 + k)
-        u2, u4 = float(u2), float(u4)
-        full, block = None, None
+        full, block = (None, float(u2), None, float(u4)), None
         for t in range(1, n_steps + 1):
             block = draw_block(p, rng, t=t)
-            g1, g2, g3, g4 = block.gamma
-            mid = g3 / (u2 + u4)
-            full = (g1 / (p.x + u2), g2 / (g1 / (p.x + u2) + mid), mid, g4 / (p.b + mid))
-            u2, u4 = full[1], full[3]
+            full = step_full(full, block, p)
         out.append((tuple(float(c) for c in full), block, n_steps))
     return out
 
@@ -486,24 +336,15 @@ def verify_drift_mc(p: ModelParams, states, n: int, rng: RngStream,
     zeta1*K1 + C1, E[K2'] vs zeta2*K2 + C2, and, when J >= eta, E[J'] vs
     beta*J; all one-sided at ``sigmas`` standard errors.
     """
-    from .ratio_drift import drift_quantities
-
     table = table or compute_constants(p)
     sigmas = cfg.confidence_sigmas if cfg else 3.0
     reports = []
     for i, (full, block, t) in enumerate(states):
         k1, k2, j, _ = drift_quantities(full, block, p, t)
-        u2, u4 = full[1], full[3]
         stream = RngStream(rng.seed, stream_id=5_000 + i)
         t0 = time.perf_counter()
-        g = draw_block(p, stream, t=t + 1, size=n).gamma
-        mid = g[2] / (u2 + u4)
-        u1n = g[0] / (p.x + u2)
-        u2n = g[1] / (g[0] / (p.x + u2) + mid)
-        u4n = g[3] / (p.b + mid)
-        k1n = u2n + u4n
-        k2n = (u1n + mid + p.b) / (g[1] + g[3])
-        jn = k1n + k2n
+        g = draw_block(p, stream, t=t + 1, size=n)
+        k1n, k2n, jn, _ = drift_quantities(step_full(full, g, p), g, p, t + 1)
         rt = time.perf_counter() - t0
 
         def se(v):
@@ -645,6 +486,16 @@ def moment_identity_mc(a2: float, a4: float, n_pairs: int, seed: int, chunk: int
     return total / n_pairs
 
 
+def _worst_margin_report(name, cases, n, runtime_s):
+    """One report over ``(margin, note)`` cases: the largest margin, passing when it is <= 0."""
+    worst, worst_note = -math.inf, ""
+    for margin, note in cases:
+        if margin > worst:
+            worst, worst_note = margin, note
+    return McReport(name=name, estimate=worst, ci_halfwidth=0.0, target=0.0,
+                    passed=worst <= 0.0, n=n, runtime_s=runtime_s, note=worst_note)
+
+
 def _paired_one_sided(name, lhs, rhs, sigmas, runtime_s, note=""):
     """Check E[lhs] <= E[rhs] via the paired differences lhs - rhs."""
     diff = lhs - rhs
@@ -683,19 +534,15 @@ def verify_inequality_suite(p: ModelParams, cfg: McConfig,
         data.rhat_at_s * (data.r_at_s - 1.0) + 1.0,
         sig, rt, note="E[Q_S R_S] <= E[r-hat_S (R_S - 1)] + 1"))
 
-    worst = -math.inf
-    worst_note = ""
-    for t in range(1, data.jcheck_sums.size):
+    def j_decay(t):
         mean = data.jcheck_sums[t] / data.n
         var = max(data.jcheck_sumsq[t] / data.n - mean ** 2, 0.0)
         se = math.sqrt(var / data.n)
         target = table.beta ** t * max(table.eta, data.j0)
-        margin = mean - (target + sig * se)
-        if margin > worst:
-            worst, worst_note = margin, f"t={t}: E[J-check]={mean:.4g} vs {target:.4g}"
-    reports.append(McReport(
-        name="excursion_j_decay", estimate=worst, ci_halfwidth=0.0, target=0.0,
-        passed=worst <= 0.0, n=data.n, runtime_s=rt, note=worst_note))
+        return mean - (target + sig * se), f"t={t}: E[J-check]={mean:.4g} vs {target:.4g}"
+
+    reports.append(_worst_margin_report(
+        "excursion_j_decay", map(j_decay, range(1, data.jcheck_sums.size)), data.n, rt))
 
     # (c) excursion-count bound and (f) ratio decay curve, J0 <= eta start
     cfg8 = McConfig(n_replicas=cfg.n_replicas, horizon=max(VISIT_TMAX, 52),
@@ -706,32 +553,24 @@ def verify_inequality_suite(p: ModelParams, cfg: McConfig,
     rt = time.perf_counter() - t0
     if stats.j0 > table.eta:
         raise ValueError("the excursion-count check requires a start with J0 <= eta")
-    worst = -math.inf
-    worst_note = ""
-    for t in range(1, VISIT_TMAX + 1):
-        for k in range(0, t + 1):
-            freq = stats.visits_hist[t, k] / stats.n
-            se = math.sqrt(max(freq * (1 - freq), 0.0) / stats.n)
-            target = math.comb(t, k) * table.beta ** (t - k)
-            margin = freq - (min(1.0, target) + sig * se)
-            if margin > worst:
-                worst, worst_note = margin, f"(t={t}, k={k}): freq={freq:.4g} vs {min(1.0, target):.4g}"
-    reports.append(McReport(
-        name="excursion_counts", estimate=worst, ci_halfwidth=0.0, target=0.0,
-        passed=worst <= 0.0, n=stats.n, runtime_s=rt, note=worst_note))
 
-    worst = -math.inf
-    worst_note = ""
-    for t in (1, 2, 5, 10, 20, 50):
+    def excursion_count(t, k):
+        freq = stats.visits_hist[t, k] / stats.n
+        se = math.sqrt(max(freq * (1 - freq), 0.0) / stats.n)
+        target = min(1.0, math.comb(t, k) * table.beta ** (t - k))
+        return freq - (target + sig * se), f"(t={t}, k={k}): freq={freq:.4g} vs {target:.4g}"
+
+    def ratio_decay(t):
         mean = stats.mean_ratio[t + 2]
         se = stats.se_ratio[t + 2]
         target = 1.0 + 3.0 * table.r ** (t / (2.0 * table.d)) * (stats.r0 - 1.0)
-        margin = mean - (target + sig * se)
-        if margin > worst:
-            worst, worst_note = margin, f"t={t}: E[R_(t+2)]={mean:.6g} vs {target:.6g}"
-    reports.append(McReport(
-        name="ratio_decay_curve", estimate=worst, ci_halfwidth=0.0, target=0.0,
-        passed=worst <= 0.0, n=stats.n, runtime_s=rt, note=worst_note))
+        return mean - (target + sig * se), f"t={t}: E[R_(t+2)]={mean:.6g} vs {target:.6g}"
+
+    reports.append(_worst_margin_report(
+        "excursion_counts",
+        (excursion_count(t, k) for t in range(1, VISIT_TMAX + 1) for k in range(t + 1)), stats.n, rt))
+    reports.append(_worst_margin_report(
+        "ratio_decay_curve", map(ratio_decay, (1, 2, 5, 10, 20, 50)), stats.n, rt))
 
     # (e) closed-form moment identity
     shapes = block_shapes(p)
@@ -841,24 +680,32 @@ def default_drift_states(p: ModelParams, seed: int):
     return states
 
 
+DEFAULT_STARTS = {4: ((1.0, 2.0), (0.5, 4.0)), 3: ((1.0,), (4.0,))}
+
+
+def _pathwise_report(p: ModelParams, U0, W0, cfg: McConfig, table: ConstantsTable) -> McReport:
+    """The replica sweep as one report; a :class:`PathwiseViolation` fails it with its state dump."""
+    t0 = time.perf_counter()
+    try:
+        run_replicas(p, U0, W0, cfg, table)
+    except PathwiseViolation as exc:
+        passed, note = False, str(exc)
+    else:
+        passed, note = True, f"{cfg.n_replicas} replicas x {cfg.horizon} steps, all pathwise checks"
+    return McReport(
+        name="pathwise_suite", estimate=0.0 if passed else 1.0, ci_halfwidth=0.0, target=0.0,
+        passed=passed, n=cfg.n_replicas * cfg.horizon, runtime_s=time.perf_counter() - t0, note=note)
+
+
 def verify_suite(p: ModelParams, cfg: McConfig, t_grid=(5, 10, 25, 50, 100)):
     """The full verification battery for one model (used by the CLI)."""
     table = compute_constants(p)
-    reports = []
+    U0, W0 = DEFAULT_STARTS[p.n]
+    reports = [_pathwise_report(p, U0, W0, cfg, table)]
     if p.n == 4:
-        t0 = time.perf_counter()
-        stats = run_replicas(p, (1.0, 2.0), (0.5, 4.0), cfg, table)
-        reports.append(McReport(
-            name="pathwise_suite", estimate=float(stats.violations), ci_halfwidth=0.0,
-            target=0.0, passed=stats.violations == 0, n=stats.n * stats.horizon,
-            runtime_s=time.perf_counter() - t0,
-            note=f"{stats.n} replicas x {stats.horizon} steps, all pathwise checks"))
-
         states = default_drift_states(p, cfg.seed + 3)
         reports += verify_drift_mc(p, states, max(10_000, cfg.n_replicas), RngStream(cfg.seed), cfg, table)
         reports += verify_inequality_suite(p, cfg, table)
-        reports += tv_grid_reports(p, (1.0, 2.0), (0.5, 4.0), t_grid, cfg, table)
-    else:
-        reports += tv_grid_reports(p, 1.0, 4.0, t_grid, cfg, table)
+    reports += tv_grid_reports(p, U0, W0, t_grid, cfg, table)
     reports += verify_auxiliary_math()
     return reports

@@ -183,6 +183,43 @@ class TestExitCodes:
         res = run_cli(["unknown-mode"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (["bound", *ARGS_N4, "--u0", "0,1"], "u0 must be strictly positive and finite, got '0,1'"),
+        (["simulate", *ARGS_N4, "--u0", "0,1"], "u0 must be strictly positive and finite, got '0,1'"),
+        (["min-t", *ARGS_N4, "--epsilon", "0"], "epsilon must be in (0, 1], got 0.0"),
+        (["simulate", *ARGS_N4, "--replicas", "10"], "n_replicas must be at least 100 for CI-based checks, got 10"),
+        (["constants", "--x", "inf", "--b", "3", "--a", "1,2,3,4,5"], "x must be finite, got inf"),
+        (["verify", *ARGS_N4, "--horizon", "0"], "horizon must be at least 1, got 0"),
+        (["estimate-pi", *ARGS_N4, "--thinning", "0"], "thinning must be at least 1, got 0"),
+    ])
+    def test_bad_value_exit_2_names_it(self, argv, named, capsys):
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+    def test_pathwise_violation_is_a_failed_row(self, monkeypatch, tmp_path):
+        import gibbscert.verify as verify_mod
+        real = verify_mod.check_pathwise
+        failed = []
+
+        def one_replica_fails(rec_t, rec_t1, g, p):
+            # replica 7 fails once, at step 3 of the first sweep (the pathwise suite)
+            checks = real(rec_t, rec_t1, g, p)
+            if rec_t.t == 3 and not failed:
+                failed.append(True)
+                checks["order_chain"] = checks["order_chain"].copy()
+                checks["order_chain"][7] = False
+            return checks
+
+        monkeypatch.setattr(verify_mod, "check_pathwise", one_replica_fails)
+        out = tmp_path / "verify.csv"
+        rc = main(["verify", *ARGS_N4, "--quick", "--replicas", "300", "--horizon", "10",
+                   "--t-grid", "2", "--workers", "1", "--output", str(out)])
+        assert rc == 1
+        row = next(line for line in out.read_text().splitlines() if line.startswith("pathwise_suite,"))
+        name, estimate, _, _, passed, n, note = row.split(",", 6)
+        assert (estimate, passed, n) == ("1.0", "False", "3000")
+        assert "'check': 'order_chain', 't': 3, 'replicas': [7]" in note
+
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):

