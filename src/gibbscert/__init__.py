@@ -7,21 +7,17 @@ seeded, reproducible Monte Carlo.
 """
 from .bounds import BoundSpec, PiFunctionals, estimate_pi_functionals, evaluate_bound, minimal_t
 from .chain import (
-    GammaBlock,
     ModelParams,
     ParamError,
     draw_block,
-    lift_2d_to_4d,
     log_equilibrium_density,
     reduced_rates,
     step,
     step_full,
-    step_n3,
-    step_reduced,
     validate_params,
 )
 from .constants import ConstantsTable, compute_constants, compute_constants_n3, compute_constants_n4, ratio_expectation_closed_form
-from .coupling import CouplingOutcome, EnvelopeInit, envelope_init, maximal_gamma_couple, one_shot_step, uniform_coupled_step
+from .coupling import CouplingOutcome, EnvelopeInit, envelope_init, maximal_gamma_couple, one_shot_step
 from .gamma import GammaParams, check_density_envelope, gamma_pdf_cdf, gamma_tv, median_probabilities, sample_gamma
 from .ratio_drift import (
     CoupledRecord,

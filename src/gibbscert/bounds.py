@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import ModelParams, ParamError, block_shapes, step
+from .chain import ModelParams, ParamError, draw_block, step
 from .constants import ConstantsTable
 from .coupling import envelope_init
 from .rng import RngStream
@@ -24,6 +24,7 @@ from .rng import RngStream
 __all__ = ["BoundSpec", "evaluate_bound", "wall_clock_step", "minimal_t", "PiFunctionals", "estimate_pi_functionals"]
 
 THEOREMS = ("fixed_start_small_j0", "fixed_start", "equilibrium_start", "n3")
+PI_CHAINS = 128  # independent chains (batches) behind the equilibrium functionals
 
 
 @dataclass(frozen=True)
@@ -128,12 +129,11 @@ def estimate_pi_functionals(
     n_samples: int = 200_000,
     thinning: int = 1,
     rng: Optional[RngStream] = None,
-    n_chains: int = 128,
     autocorr_threshold: float = 0.5,
 ) -> PiFunctionals:
     """Ergodic-average estimates of the equilibrium start functionals.
 
-    Runs ``n_chains`` independent chains from the all-ones start, discards
+    Runs ``PI_CHAINS`` independent chains from the all-ones start, discards
     ``burn_in`` steps, then averages the functionals over thinned samples.
     Each chain is one batch; the CI comes from the spread of batch means.
     Warns when the within-chain lag-1 autocorrelation of the heavy functional
@@ -143,19 +143,18 @@ def estimate_pi_functionals(
         raise ParamError(f"thinning must be at least 1, got {thinning}")
     if rng is None:
         rng = RngStream(0)
-    shapes = block_shapes(p)
-    per_chain = max(1, -(-n_samples // n_chains))
+    per_chain = max(1, -(-n_samples // PI_CHAINS))
     ones = (1.0,) * (p.n // 2)
-    state = (np.ones(n_chains),) * len(ones)
+    state = (np.ones(PI_CHAINS),) * len(ones)
 
     def advance(s):
-        return step(s, [rng.gamma(a, size=n_chains) for a in shapes], p)
+        return step(s, draw_block(p, rng, size=PI_CHAINS), p)
 
     for _ in range(burn_in):
         state = advance(state)
 
-    f_pi = np.empty((per_chain, n_chains))
-    f_j = np.empty((per_chain, n_chains))
+    f_pi = np.empty((per_chain, PI_CHAINS))
+    f_j = np.empty((per_chain, PI_CHAINS))
     for k in range(per_chain):
         for _ in range(thinning):
             state = advance(state)
@@ -166,8 +165,8 @@ def estimate_pi_functionals(
     batch_j = f_j.mean(axis=0)
     c_pi = float(batch_pi.mean())
     c_j = float(batch_j.mean())
-    se_pi = float(batch_pi.std(ddof=1) / math.sqrt(n_chains))
-    se_j = float(batch_j.std(ddof=1) / math.sqrt(n_chains))
+    se_pi = float(batch_pi.std(ddof=1) / math.sqrt(PI_CHAINS))
+    se_j = float(batch_j.std(ddof=1) / math.sqrt(PI_CHAINS))
 
     if per_chain > 2:
         centered = f_pi - f_pi.mean(axis=0, keepdims=True)
@@ -184,5 +183,5 @@ def estimate_pi_functionals(
         )
     return PiFunctionals(
         c_pi=c_pi, c_pi_se=se_pi, c_j=c_j, c_j_se=se_j,
-        n_kept=per_chain * n_chains, n_chains=n_chains, lag1_autocorr=auto,
+        n_kept=per_chain * PI_CHAINS, n_chains=PI_CHAINS, lag1_autocorr=auto,
     )

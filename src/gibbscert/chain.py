@@ -8,16 +8,19 @@ chain is the tuple of its even coordinates: ``(u2, u4)`` for n = 4 and
 
 The chain's formula lives in :func:`odd_coordinates` and
 :func:`reduced_rates`: every coordinate is gamma with rate the sum of its two
-neighbours in ``(x, u1, ..., un, b)``.  :func:`step` is each even innovation
-over its rate; the other updates are views of it.  All formulas are written in
-one fixed literal grouping so that coupled trajectories stay bit-stable and
-floating-point evaluation preserves the componentwise order.
+neighbours in ``(x, u1, ..., un, b)``.  A block is the plain tuple of one
+step's innovations ``(g1, ..., gn)`` (see :func:`draw_block`); :func:`step`
+divides each even innovation by its rate, and :func:`step_full` also returns
+the odd coordinates.  All formulas are written in one fixed literal grouping
+so that coupled trajectories stay bit-stable and floating-point evaluation
+preserves the componentwise order.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .rng import RngStream
 __all__ = [
     "ModelParams",
     "ParamError",
-    "GammaBlock",
     "validate_params",
     "block_shapes",
     "draw_block",
@@ -36,9 +38,7 @@ __all__ = [
     "step",
     "step_reduced",
     "step_full",
-    "step_n3",
     "log_equilibrium_density",
-    "lift_2d_to_4d",
 ]
 
 
@@ -59,7 +59,7 @@ class ModelParams:
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         validate_params(self)
 
-    @property
+    @cached_property
     def shapes(self):
         """Gamma shapes a_i + a_{i+1} of the innovation block."""
         return block_shapes(self)
@@ -103,21 +103,12 @@ def block_shapes(p: ModelParams):
     return tuple(p.a[i] + p.a[i + 1] for i in range(p.n))
 
 
-@dataclass
-class GammaBlock:
-    """One step's independent unit-rate gamma innovations.
+def draw_block(p: ModelParams, rng: RngStream, size=None) -> tuple:
+    """Draw one block ``(g1, ..., gn)``, g_i ~ Gamma(a_i + a_{i+1}, 1) independent across i.
 
-    ``gamma`` has shape ``(n,)`` for a single trajectory or ``(n, m)`` for
-    ``m`` vectorized replicas; ``t`` is the step the block drives.
+    Each g_i is a scalar, or an array of shape ``size`` for vectorized replicas.
     """
-
-    gamma: np.ndarray
-    t: int = 0
-
-
-def draw_block(p: ModelParams, rng: RngStream, t: int = 0, size=None) -> GammaBlock:
-    """Draw gamma_i ~ Gamma(a_i + a_{i+1}, 1), independent across i."""
-    return GammaBlock(gamma=np.array([rng.gamma(s, size=size) for s in block_shapes(p)]), t=t)
+    return tuple([rng.gamma(s, size=size) for s in p.shapes])
 
 
 def as_state(s):
@@ -151,32 +142,26 @@ def reduced_rates(s, g_odd, p: ModelParams):
 def step(s, gammas, p: ModelParams):
     """One update of the even-coordinate chain: each even innovation over its rate.
 
-    ``gammas`` holds the block's innovations ``(g1, ..., gn)`` (a sequence or
-    the array of a :class:`GammaBlock`).
+    ``gammas`` is the block ``(g1, ..., gn)``.
     """
     return tuple(map(operator.truediv, gammas[1::2], reduced_rates(s, gammas[0::2], p)))
 
 
-def step_reduced(s, g: GammaBlock, p: ModelParams):
-    """One update of the even-coordinate chain under a block: :func:`step` on ``g.gamma``."""
-    return step(s, g.gamma, p)
+# :func:`step` under its own name, so the benchmark can time the ratio process's chain updates
+def step_reduced(s, g, p: ModelParams):
+    return step(s, g, p)
 
 
-def step_full(s, g: GammaBlock, p: ModelParams):
+def step_full(s, g, p: ModelParams):
     """One update of the 4-coordinate kernel (odd coordinates, then even).
 
     The output does not depend on the input u1 or u3; coordinates 2 and 4
-    agree with :func:`step_reduced` on (u2, u4).
+    agree with :func:`step` on (u2, u4).
     """
     even = (s[1], s[3])
-    u1, u3 = odd_coordinates(even, g.gamma[0::2], p)
-    u2, u4 = step(even, g.gamma, p)
+    u1, u3 = odd_coordinates(even, g[0::2], p)
+    u2, u4 = step(even, g, p)
     return (u1, u2, u3, u4)
-
-
-def step_n3(u, g: GammaBlock, p: ModelParams):
-    """One update of the scalar n = 3 chain: g2 / (g1/(x+u) + g3/(u+b))."""
-    return step((u,), g.gamma, p)[0]
 
 
 def log_equilibrium_density(s, p: ModelParams):
@@ -193,13 +178,3 @@ def log_equilibrium_density(s, p: ModelParams):
     quad_term = sum(z[i] * z[i - 1] for i in range(1, 6))
     return log_term - quad_term
 
-
-def lift_2d_to_4d(s, g: GammaBlock, p: ModelParams):
-    """Lift a reduced state to the 4-coordinate chain by one full update.
-
-    Equals ``step_full((1, s2, 1, s4))``; the placeholder odd coordinates are
-    ignored by the kernel, and if two reduced states coincide their lifts
-    coincide under a shared block.
-    """
-    u2, u4 = s
-    return step_full((None, u2, None, u4), g, p)

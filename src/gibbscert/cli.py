@@ -42,6 +42,18 @@ def _parse_floats(text):
         raise ConfigError(f"cannot parse number list {text!r}") from exc
 
 
+def _t_grid(values, default, increasing=False):
+    """Theorem indices from ``t_grid``: non-negative integers; with ``increasing``, two or more, strictly rising."""
+    grid = []
+    for v in _parse_floats(values.get("t_grid", default)):
+        if not (v >= 0 and v.is_integer()):
+            raise ConfigError(f"t-grid entries must be non-negative integers, got {int(v) if v.is_integer() else v}")
+        grid.append(int(v))
+    if increasing and not (len(grid) > 1 and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ConfigError(f"verify needs at least two strictly increasing t-grid points, got {grid}")
+    return grid
+
+
 def _read_config_file(path):
     values = {}
     with open(path) as fh:
@@ -216,7 +228,7 @@ def _cmd_constants(values, p):
 def _cmd_bound(values, p):
     table = compute_constants(p)
     spec = _bound_spec(values, p, table)
-    grid = [int(v) for v in _parse_floats(values.get("t_grid", "0,1,2,5,10,20,50,100,200,500,1000"))]
+    grid = _t_grid(values, "0,1,2,5,10,20,50,100,200,500,1000")
     rows = []
     for t in grid:
         raw = evaluate_bound(spec, t)
@@ -264,7 +276,7 @@ def _cmd_simulate(values, p):
 def _cmd_verify(values, p):
     quick = bool(values.get("quick"))
     cfg = _mc_config(values, 1_000 if quick else 10_000, 100 if quick else 1_000)
-    grid = [int(v) for v in _parse_floats(values.get("t_grid", "5,10,25,50,100"))]
+    grid = _t_grid(values, "5,10,25,50,100", increasing=True)
     reports = verify_suite(p, cfg, t_grid=tuple(grid))
     # wall-clock runtime stays out of the CSV so reruns are byte-identical
     if values.get("format", "csv") == "text":

@@ -2,16 +2,16 @@
 
 States are tuples of even coordinates, ``(u2, u4)`` for n = 4 and ``(u,)``
 for n = 3 (see :mod:`gibbscert.chain`).  The uniform coupling drives every
-chain with the same innovation block, which preserves the componentwise
-partial order.  The one-shot coupling attempts an exact coalescence at a
-chosen time: conditionally on the shared odd-coordinate innovations, each even
-coordinate is gamma with a state-dependent rate, and matching coordinates are
-coupled by the area-under-the-density construction of
-:func:`one_shot_attempt` (candidate drawn under the lower chain's density;
-chains coalesce when the point also lies under the other density).  When a
-bracketed inner pair is supplied, all four chains share the candidate; the
-envelope inequality on ordered-rate gamma densities guarantees the
-construction stays consistent.
+chain with the same innovation block (:func:`~gibbscert.chain.step` on each),
+which preserves the componentwise partial order.  The one-shot coupling
+attempts an exact coalescence at a chosen time: conditionally on the shared
+odd-coordinate innovations, each even coordinate is gamma with a
+state-dependent rate, and matching coordinates are coupled by the
+area-under-the-density construction of :func:`one_shot_attempt` (candidate
+drawn under the lower chain's density; chains coalesce when the point also
+lies under the other density).  When a bracketed inner pair is supplied, all
+four chains share the candidate; the envelope inequality on ordered-rate
+gamma densities guarantees the construction stays consistent.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .chain import GammaBlock, ModelParams, as_state, block_shapes, reduced_rates, step_reduced
+from .chain import ModelParams, as_state, reduced_rates
 from .gamma import gamma_tv
 from .rng import RngStream
 
@@ -29,11 +29,9 @@ __all__ = [
     "EnvelopeInit",
     "CouplingOutcome",
     "envelope_init",
-    "uniform_coupled_step",
     "one_shot_attempt",
     "maximal_gamma_couple",
     "one_shot_step",
-    "reduced_rates",
 ]
 
 
@@ -60,11 +58,6 @@ def envelope_init(U0, W0) -> EnvelopeInit:
     if np.any(np.asarray(m) <= 0):
         raise ValueError("states must be strictly positive")
     return EnvelopeInit(u0=(m,) * k, w0=(M,) * k, r0=M / m, j0=k * m + 1.0 / (k * m))
-
-
-def uniform_coupled_step(u, w, g: GammaBlock, p: ModelParams):
-    """Advance two reduced chains with one shared block (monotone coupling)."""
-    return step_reduced(u, g, p), step_reduced(w, g, p)
 
 
 def _log_density_ratio(y, shape, rate_a, rate_b):
@@ -165,7 +158,7 @@ def one_shot_step(u, w, inner, g13, p: ModelParams, rng: RngStream) -> CouplingO
     rates = [reduced_rates(s, g13, p) for s in chains]
     out = [[] for _ in chains]
     flags, overlaps = [], []
-    for i, alpha in enumerate(block_shapes(p)[1::2]):
+    for i, alpha in enumerate(p.shapes[1::2]):
         ru, rw = rates[0][i], rates[1][i]
         y, coal = one_shot_attempt(alpha, ru, rw, rng)
         tv, _ = gamma_tv(alpha, ru, rw)

@@ -29,6 +29,8 @@ __all__ = [
     "median_probabilities",
 ]
 
+ENVELOPE_SLACK = 1e-12  # relative slack of :func:`check_density_envelope`
+
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -121,11 +123,11 @@ def gamma_tv(shape, rate1, rate2):
     return tv, crossing
 
 
-def check_density_envelope(shape, rates, grid, rel_slack=1e-12):
+def check_density_envelope(shape, rates, grid):
     """Pointwise envelope check for four same-shape gammas with ordered rates.
 
     For rates ``b1 < b2 < b3 < b4`` verifies ``min{f1, f4} <= min{f2, f3}``
-    at every grid point (within ``rel_slack``), plus the total-variation
+    at every grid point (within ``ENVELOPE_SLACK``), plus the total-variation
     consequence ``tv(b2, b3) <= tv(b1, b4)``.
     """
     b1, b2, b3, b4 = (float(r) for r in rates)
@@ -139,11 +141,11 @@ def check_density_envelope(shape, rates, grid, rel_slack=1e-12):
     outer = np.minimum(logf[0], logf[3])
     inner = np.minimum(logf[1], logf[2])
     # comparison in log space: min f_out <= min f_in * (1 + slack)
-    pointwise_ok = bool(np.all(outer <= inner + np.log1p(rel_slack)))
+    pointwise_ok = bool(np.all(outer <= inner + np.log1p(ENVELOPE_SLACK)))
 
     tv_inner, _ = gamma_tv(shape, b2, b3)
     tv_outer, _ = gamma_tv(shape, b1, b4)
-    tv_ok = tv_inner <= tv_outer * (1 + rel_slack) + 1e-15
+    tv_ok = tv_inner <= tv_outer * (1 + ENVELOPE_SLACK) + 1e-15
     return pointwise_ok and bool(tv_ok)
 
 

@@ -6,8 +6,11 @@ keeping both coordinates at the exact common ratio ``R``.  ``R`` is
 non-increasing; the drift terms ``K1 = u2 + u4`` and
 ``K2 = (u1 + u3 + b) / (g2 + g4)`` control how fast it contracts, through the
 dominating process ``D`` and the i.i.d. weights ``omega``.  States are tuples
-of even coordinates (see :mod:`gibbscert.chain`).  For n = 3 the scalar pair
-is coupled directly: ``v = w``, ``R = w/u``, ``K1 = u`` and ``K2 = 1/u``.
+of even coordinates and a block is the tuple ``(g1, ..., gn)`` (see
+:mod:`gibbscert.chain`).  For n = 3 the scalar pair is coupled directly:
+``v = w``, ``R = w/u``, ``K1 = u`` and ``K2 = 1/u``.  Records carry no omega
+weights or rate bound: :func:`check_pathwise` computes the omegas from the
+block, and the stopping-time experiment calls :func:`compute_r_hat`.
 
 Every inequality the construction rests on is checkable pathwise; see
 :func:`check_pathwise`.  Checks carry a relative slack of ``1e-10`` to absorb
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import GammaBlock, ModelParams, odd_coordinates, step_reduced
+from .chain import ModelParams, odd_coordinates, step_reduced
 from .coupling import envelope_init
 
 __all__ = [
@@ -49,11 +52,10 @@ class CoupledRecord:
     """Per-step state of the coupled system (scalar or replica-vectorized).
 
     ``q`` is the contraction factor of the transition that produced this
-    record, ``omegas`` the weights of the producing block, and ``u_full`` the
-    4-coordinate lower chain whose odd coordinates feed ``k2``.  ``q`` and
-    ``d`` are NaN at t = 0; ``omegas`` and ``u_full`` are None there.  n = 3
-    records have no dominating process: past t = 0 those fields and ``r_hat``
-    are None.
+    record and ``u_full`` the 4-coordinate lower chain whose odd coordinates
+    feed ``k2``.  ``q`` and ``d`` are NaN at t = 0, and ``u_full`` is None
+    there.  n = 3 records have no dominating process: past t = 0 those
+    fields are None.
     """
 
     t: int
@@ -66,9 +68,7 @@ class CoupledRecord:
     k2: object
     j: object
     q: object = None
-    r_hat: object = None
     d: object = None
-    omegas: Optional[tuple] = None
     u_full: Optional[tuple] = None
 
 
@@ -106,13 +106,13 @@ def init_record(U0, W0) -> CoupledRecord:
     )
 
 
-def compute_q(u, v, g: GammaBlock, p: ModelParams):
+def compute_q(u, v, g, p: ModelParams):
     """Contraction factor of the ratio under one shared block, u <= v.
 
     ``max{ (g3 + b*u4)/(g3 + b*v4), (g3 + g1/(1+x/u2))/(g3 + g1/(1+x/v2)) }``;
     always in (0, 1], and 1 only when u = v in the binding coordinate.
     """
-    g1, _, g3, _ = g.gamma
+    g1, _, g3, _ = g
     first = (g3 + p.b * u[1]) / (g3 + p.b * v[1])
     second = (g3 + g1 / (1.0 + p.x / u[0])) / (g3 + g1 / (1.0 + p.x / v[0]))
     return np.maximum(first, second)
@@ -132,11 +132,11 @@ def compute_r_hat(u, v, p: ModelParams):
     return 1.0 - 1.0 / denom
 
 
-def compute_omegas(g: GammaBlock, p: ModelParams):
+def compute_omegas(g, p: ModelParams):
     """The i.i.d. weights (omega1, omega2, omega3, omega_tilde2) of one block."""
     if p.n != 4:
         raise ValueError("omegas are defined for the n=4 chain")
-    g1, g2, g3, g4 = g.gamma
+    g1, g2, g3, g4 = g
     lead, coef2 = _d_coeffs(p)
     om_t2 = 2.0 + g2 / g4 + g4 / g2
     om1 = (1.0 / p.x) * lead * g2 / (g1 + g3)
@@ -145,7 +145,7 @@ def compute_omegas(g: GammaBlock, p: ModelParams):
     return om1, om2, om3, om_t2
 
 
-def drift_quantities(u_full, prev_block: Optional[GammaBlock], p: ModelParams, t: int):
+def drift_quantities(u_full, prev_block: Optional[tuple], p: ModelParams, t: int):
     """(K1, K2, J, D) at step ``t`` for a 4-coordinate state.
 
     For t >= 1 the state must be the one the block produced (K2 divides by
@@ -158,15 +158,14 @@ def drift_quantities(u_full, prev_block: Optional[GammaBlock], p: ModelParams, t
         k2 = 1.0 / (u2 + u4)
         d = float("nan") if np.ndim(u2) == 0 else np.full_like(np.asarray(u2, dtype=float), np.nan)
     else:
-        g = prev_block.gamma
-        k2 = (u3 + u1 + p.b) / (g[1] + g[3])
+        k2 = (u3 + u1 + p.b) / (prev_block[1] + prev_block[3])
         lead, coef2 = _d_coeffs(p)
         d = (1.0 / p.x) * lead * (u2 + u4) + coef2 * (1.0 / u2 + 1.0 / u4)
     j = k1 + k2
     return k1, k2, j, d
 
 
-def ratio_step(rec: CoupledRecord, g: GammaBlock, p: ModelParams) -> CoupledRecord:
+def ratio_step(rec: CoupledRecord, g, p: ModelParams) -> CoupledRecord:
     """Advance the coupled record one step under a shared block.
 
     ``u' = F(u)``, ``w' = F(w)``, ``v_tilde' = F(v)``,
@@ -194,7 +193,7 @@ def ratio_step(rec: CoupledRecord, g: GammaBlock, p: ModelParams) -> CoupledReco
     ratio = np.maximum(vt_next[0] / u_next[0], vt_next[1] / u_next[1])
     v_next = (ratio * u_next[0], ratio * u_next[1])
 
-    u1_next, u3_next = odd_coordinates(rec.u, g.gamma[0::2], p)
+    u1_next, u3_next = odd_coordinates(rec.u, g[0::2], p)
     u_full_next = (u1_next, u_next[0], u3_next, u_next[1])
     k1, k2, j, d = drift_quantities(u_full_next, g, p, rec.t + 1)
     return CoupledRecord(
@@ -205,21 +204,19 @@ def ratio_step(rec: CoupledRecord, g: GammaBlock, p: ModelParams) -> CoupledReco
         v=v_next,
         ratio=ratio,
         q=q,
-        r_hat=compute_r_hat(u_next, v_next, p),
         k1=k1,
         k2=k2,
         j=j,
         d=d,
-        omegas=compute_omegas(g, p),
         u_full=u_full_next,
     )
 
 
-def _leq(a, b, slack=REL_SLACK):
-    return a <= b * (1.0 + slack)
+def _leq(a, b):
+    return a <= b * (1.0 + REL_SLACK)
 
 
-def check_pathwise(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p: ModelParams):
+def check_pathwise(rec_t: CoupledRecord, rec_t1: CoupledRecord, g, p: ModelParams):
     """Evaluate the seven proven pathwise inequalities on one transition.
 
     ``g`` must be the block that produced ``rec_t1`` from ``rec_t``.  Returns
@@ -229,13 +226,13 @@ def check_pathwise(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p
     """
     if p.n == 3:
         return _check_pathwise_n3(rec_t, rec_t1, g, p)
-    g1, g2, g3, g4 = g.gamma
+    g1, g2, g3, g4 = g
     u2, u4 = rec_t.u
     u2n, u4n = rec_t1.u
     w2n, w4n = rec_t1.w
     vt2n, vt4n = rec_t1.v_tilde
     v2n, v4n = rec_t1.v
-    om1, om2, om3, om_t2 = rec_t1.omegas
+    om1, om2, om3, om_t2 = compute_omegas(g, p)
 
     checks = {}
     # (i) even-coordinate sum recursion
@@ -263,9 +260,9 @@ def check_pathwise(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p
     return checks
 
 
-def _check_pathwise_n3(rec_t: CoupledRecord, rec_t1: CoupledRecord, g: GammaBlock, p: ModelParams):
+def _check_pathwise_n3(rec_t: CoupledRecord, rec_t1: CoupledRecord, g, p: ModelParams):
     """Order, ratio contraction, sum recursion and inverse bound of the scalar pair."""
-    g1, g2, g3 = g.gamma
+    g1, g2, g3 = g
     (u,), (u_next,), (w_next,) = rec_t.u, rec_t1.u, rec_t1.w
     return {
         "order": u_next <= w_next,

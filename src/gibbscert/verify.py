@@ -6,33 +6,38 @@ and verifies the probabilistic ingredients (drift conditions, stopping-time
 contraction, excursion counts) at desk scale.
 
 States are tuples of even coordinates, ``(u2, u4)`` for n = 4 and ``(u,)``
-for n = 3 (a bare scalar is accepted for the latter); the replica loop, the
-trajectory dump and the TV harness serve both depths, and only the checked
-per-step update (:func:`~gibbscert.ratio_drift.ratio_step` with
+for n = 3 (a bare scalar is accepted for the latter), and a block is the tuple
+of innovations ``(g1, ..., gn)`` from :func:`~gibbscert.chain.draw_block`.
+The replica loop, the single-replica walk and the TV harness serve both
+depths; only the checked per-step update
+(:func:`~gibbscert.ratio_drift.ratio_step` with
 :func:`~gibbscert.ratio_drift.check_pathwise`) and the bound theorem differ.
+Every one-sided check allows ``SIGMAS`` standard errors.
 
 Reproducibility contract: replicas are processed in fixed-size chunks and
-chunk ``i`` always draws from ``RngStream(seed, stream_id=i + offset)``, so
-results are bit-identical across runs and across worker counts; workers only
-execute independent chunks, and aggregation is ordered by chunk index.
+chunk ``i`` always draws from ``RngStream(seed, stream_id=i)``, so results
+are bit-identical across runs and across worker counts; workers only execute
+independent chunks, and aggregation is ordered by chunk index.
 """
 from __future__ import annotations
 
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special as sp
 
 from .bounds import BoundSpec, evaluate_bound, wall_clock_step
-from .chain import ModelParams, ParamError, block_shapes, draw_block, reduced_rates, step, step_full
+from .chain import ModelParams, ParamError, draw_block, reduced_rates, step, step_full
 from .constants import ConstantsTable, compute_constants, ratio_expectation_closed_form
 from .coupling import envelope_init, one_shot_attempt
 from .gamma import gamma_tv
-from .ratio_drift import PathwiseViolation, assert_pathwise, check_pathwise, drift_quantities, init_record, ratio_step
+from .ratio_drift import (
+    PathwiseViolation, assert_pathwise, check_pathwise, compute_r_hat, drift_quantities, init_record, ratio_step,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -55,7 +60,13 @@ __all__ = [
     "trajectory",
 ]
 
-VISIT_TMAX = 20
+SIGMAS = 3.0          # one-sided confidence width, in standard errors
+VISIT_TMAX = 20       # excursion counts are tracked for t <= VISIT_TMAX
+JCHECK_TMAX = 10      # the excursion J decay is checked for t <= JCHECK_TMAX
+STOPPING_CAP = 5_000  # steps after which an unresolved stopping time is an error
+IDENTITY_CHUNK = 2_000_000  # gamma pairs per stream in the moment identity
+AUX_D_VALUES = (9.2551, 9.3047, 3.0)
+AUX_BETAS = (7.0 / 9.0, 0.51, 0.6, 0.9, 0.99)
 
 
 @dataclass
@@ -65,7 +76,6 @@ class McConfig:
     n_replicas: int = 10_000
     horizon: int = 1_000
     seed: int = 20_240_801
-    confidence_sigmas: float = 3.0
     workers: Optional[int] = None
     chunk_size: int = 8_192
 
@@ -91,33 +101,54 @@ class McReport:
     extra: dict = field(default_factory=dict)
 
     @staticmethod
-    def one_sided(name, estimate, se, target, sigmas, n, runtime_s, note="", extra=None):
-        half = sigmas * se
+    def one_sided(name, estimate, se, target, n, runtime_s, note="", extra=None):
+        half = SIGMAS * se
         return McReport(
             name=name, estimate=float(estimate), ci_halfwidth=float(half),
             target=float(target), passed=bool(estimate <= target + half),
             n=int(n), runtime_s=float(runtime_s), note=note, extra=extra or {},
         )
 
+    @staticmethod
+    def pass_fail(name, passed, n, runtime_s, note=""):
+        """A check without an estimate: 0.0 when it passes, 1.0 when it fails, against target 0."""
+        return McReport(name=name, estimate=0.0 if passed else 1.0, ci_halfwidth=0.0, target=0.0,
+                        passed=passed, n=n, runtime_s=runtime_s, note=note)
+
+
+def _mean_se(total, total_sq, n):
+    """Mean and standard error of ``n`` values from their sum and sum of squares."""
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - mean ** 2, 0.0) / n)
+
+
+def _binomial_se(freq, n):
+    """Standard error of a frequency over ``n`` independent trials."""
+    return math.sqrt(max(freq * (1 - freq), 0.0) / n)
+
+
+def _sample_se(values):
+    """Standard error of the mean of a sample, from its ddof=1 spread."""
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _column_sums(parts):
+    """Field-wise sums of per-chunk result tuples, added in chunk order."""
+    return [sum(column) for column in zip(*parts)]
+
 
 def _chunks(n, chunk_size):
-    sizes = []
-    done = 0
-    while done < n:
-        m = min(chunk_size, n - done)
-        sizes.append(m)
-        done += m
-    return sizes
+    return [min(chunk_size, n - start) for start in range(0, n, chunk_size)]
 
 
-def _run_chunked(fn, n, cfg: McConfig, stream_offset=0):
+def _run_chunked(fn, n, cfg: McConfig):
     """Run ``fn(chunk_id, size)`` over fixed chunks; results in chunk order."""
     sizes = _chunks(n, cfg.chunk_size)
     workers = cfg.workers or 1
     if workers <= 1 or len(sizes) <= 1:
-        return [fn(i + stream_offset, m) for i, m in enumerate(sizes)]
+        return [fn(i, m) for i, m in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i + stream_offset, m) for i, m in enumerate(sizes)]
+        futures = [pool.submit(fn, i, m) for i, m in enumerate(sizes)]
         return [f.result() for f in futures]
 
 
@@ -137,14 +168,9 @@ class ReplicaStats:
     horizon: int
     r0: float
     j0: float
-    eta: float
     mean_ratio: np.ndarray        # E[R_t], t = 0..horizon
     se_ratio: np.ndarray
     visits_hist: np.ndarray         # counts of |S_bar_t| = k for t, k <= VISIT_TMAX
-
-    @property
-    def mean_ratio_minus_1(self):
-        return self.mean_ratio - 1.0
 
 
 def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[ConstantsTable] = None) -> ReplicaStats:
@@ -170,7 +196,7 @@ def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[Constant
         cum = np.zeros(m, dtype=np.int64)
         hist = np.zeros((VISIT_TMAX + 1, VISIT_TMAX + 2), dtype=np.int64)
         for t in range(1, horizon + 1):
-            block = draw_block(p, rng, t=t, size=m)
+            block = draw_block(p, rng, size=m)
             nxt = ratio_step(rec, block, p)
             assert_pathwise(check_pathwise(rec, nxt, block, p), rec, nxt)
             s1[t] = np.sum(nxt.ratio)
@@ -181,16 +207,11 @@ def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[Constant
             rec = nxt
         return s1, s2, hist
 
-    parts = _run_chunked(chunk_fn, cfg.n_replicas, cfg)
-    s1 = sum(part[0] for part in parts)
-    s2 = sum(part[1] for part in parts)
-    hist = sum(part[2] for part in parts)
+    s1, s2, hist = _column_sums(_run_chunked(chunk_fn, cfg.n_replicas, cfg))
     n = cfg.n_replicas
-    mean = s1 / n
-    var = np.maximum(s2 / n - mean ** 2, 0.0)
-    se = np.sqrt(var / n)
+    mean, se = _mean_se(s1, s2, n)
     return ReplicaStats(
-        n=n, horizon=horizon, r0=float(env.r0), j0=float(env.j0), eta=float(eta),
+        n=n, horizon=horizon, r0=float(env.r0), j0=float(env.j0),
         mean_ratio=mean, se_ratio=se, visits_hist=hist,
     )
 
@@ -208,19 +229,23 @@ def _trajectory_row(rec, p: ModelParams):
     }
 
 
+def _walk(p: ModelParams, U0, W0, horizon: int, seed: int):
+    """The records of one seeded coupled trajectory at t = 0..horizon."""
+    rng = RngStream(seed, stream_id=0)
+    rec = init_record(U0, W0)
+    yield rec
+    for _ in range(horizon):
+        rec = ratio_step(rec, draw_block(p, rng), p)
+        yield rec
+
+
 def trajectory(p: ModelParams, U0, W0, horizon: int, seed: int):
     """Single-replica coupled trajectory as a list of per-step row dicts.
 
     Columns follow the n = 4 record (t, u2, ..., D); for n = 3 the scalar
     analogue (t, u, w, R, K1, K2, J) is emitted.
     """
-    rng = RngStream(seed, stream_id=0)
-    rec = init_record(U0, W0)
-    rows = [_trajectory_row(rec, p)]
-    for t in range(1, horizon + 1):
-        rec = ratio_step(rec, draw_block(p, rng, t=t), p)
-        rows.append(_trajectory_row(rec, p))
-    return rows
+    return [_trajectory_row(rec, p) for rec in _walk(p, U0, W0, horizon, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +260,7 @@ def _one_shot_indicators(p: ModelParams, u, w, rng: RngStream):
     probability ``1 - prod_i overlap_i`` integrates the vertical coordinate
     out analytically.
     """
-    shapes = block_shapes(p)
+    shapes = p.shapes
     g_odd = [rng.gamma(a, size=u[0].shape) for a in shapes[0::2]]
     miss, cond = False, None
     for alpha, ru, rw in zip(shapes[1::2], reduced_rates(u, g_odd, p), reduced_rates(w, g_odd, p)):
@@ -266,23 +291,17 @@ def estimate_tv_by_coupling(p: ModelParams, U0, W0, t: int, cfg: McConfig,
         rng = RngStream(cfg.seed, stream_id=chunk_id)
         u = _broadcast_state(env.u0, m)
         w = _broadcast_state(env.w0, m)
-        for s in range(1, wall_clock_t):
-            g = draw_block(p, rng, t=s, size=m).gamma
+        for _ in range(1, wall_clock_t):
+            g = draw_block(p, rng, size=m)
             u, w = step(u, g, p), step(w, g, p)
         miss, cond = _one_shot_indicators(p, u, w, rng)
-        return miss.sum(), cond.sum(), np.square(cond).sum()
+        return int(miss.sum()), float(cond.sum()), float(np.square(cond).sum())
 
     t0 = time.perf_counter()
-    parts = _run_chunked(chunk_fn, cfg.n_replicas, cfg)
+    n_miss, cond_sum, cond_sq = _column_sums(_run_chunked(chunk_fn, cfg.n_replicas, cfg))
     n = cfg.n_replicas
-    n_miss = sum(int(part[0]) for part in parts)
-    cond_sum = sum(float(part[1]) for part in parts)
-    cond_sq = sum(float(part[2]) for part in parts)
     frac = n_miss / n
-    frac_se = math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
-    cond_mean = cond_sum / n
-    cond_var = max(cond_sq / n - cond_mean ** 2, 0.0)
-    cond_se = math.sqrt(cond_var / n)
+    cond_mean, cond_se = _mean_se(cond_sum, cond_sq, n)
 
     if p.n == 4:
         theorem = "fixed_start_small_j0" if j0 <= table.eta else "fixed_start"
@@ -290,11 +309,9 @@ def estimate_tv_by_coupling(p: ModelParams, U0, W0, t: int, cfg: McConfig,
         theorem = "n3"
     spec = BoundSpec(theorem=theorem, table=table, sum_a=p.sum_tail, r0=r0, j0=j0)
     bound = min(1.0, evaluate_bound(spec, t))
-    runtime = time.perf_counter() - t0
-
     report = McReport.one_sided(
-        name=f"tv_coupling_n{p.n}_t{t}", estimate=frac, se=frac_se, target=bound,
-        sigmas=cfg.confidence_sigmas, n=n, runtime_s=runtime,
+        name=f"tv_coupling_n{p.n}_t{t}", estimate=frac, se=_binomial_se(frac, n), target=bound,
+        n=n, runtime_s=time.perf_counter() - t0,
         note=f"one-shot at wall-clock step {wall_clock_t}",
         extra={
             "conditional": cond_mean, "conditional_se": cond_se,
@@ -302,7 +319,7 @@ def estimate_tv_by_coupling(p: ModelParams, U0, W0, t: int, cfg: McConfig,
         },
     )
     # the conditional estimator must respect the same bound
-    report.passed = report.passed and (cond_mean <= bound + cfg.confidence_sigmas * cond_se)
+    report.passed = report.passed and (cond_mean <= bound + SIGMAS * cond_se)
     return report
 
 
@@ -320,46 +337,41 @@ def history_states(p: ModelParams, seed: int, starts: Sequence, steps: Sequence[
     for k, ((u2, u4), n_steps) in enumerate(zip(starts, steps)):
         rng = RngStream(seed, stream_id=9_000 + k)
         full, block = (None, float(u2), None, float(u4)), None
-        for t in range(1, n_steps + 1):
-            block = draw_block(p, rng, t=t)
+        for _ in range(n_steps):
+            block = draw_block(p, rng)
             full = step_full(full, block, p)
         out.append((tuple(float(c) for c in full), block, n_steps))
     return out
 
 
-def verify_drift_mc(p: ModelParams, states, n: int, rng: RngStream,
-                    cfg: Optional[McConfig] = None,
+def verify_drift_mc(p: ModelParams, states, n: int, seed: int,
                     table: Optional[ConstantsTable] = None):
     """One-step conditional drift checks at fixed history-consistent states.
 
     For each (full state, producing block, t): empirical E[K1'] vs
     zeta1*K1 + C1, E[K2'] vs zeta2*K2 + C2, and, when J >= eta, E[J'] vs
-    beta*J; all one-sided at ``sigmas`` standard errors.
+    beta*J; all one-sided.  State ``i`` draws its ``n`` next steps from
+    ``RngStream(seed, 5000 + i)``.
     """
     table = table or compute_constants(p)
-    sigmas = cfg.confidence_sigmas if cfg else 3.0
     reports = []
     for i, (full, block, t) in enumerate(states):
         k1, k2, j, _ = drift_quantities(full, block, p, t)
-        stream = RngStream(rng.seed, stream_id=5_000 + i)
+        stream = RngStream(seed, stream_id=5_000 + i)
         t0 = time.perf_counter()
-        g = draw_block(p, stream, t=t + 1, size=n)
+        g = draw_block(p, stream, size=n)
         k1n, k2n, jn, _ = drift_quantities(step_full(full, g, p), g, p, t + 1)
         rt = time.perf_counter() - t0
-
-        def se(v):
-            return float(v.std(ddof=1) / math.sqrt(n))
-
         reports.append(McReport.one_sided(
-            f"drift_k1_state{i}", k1n.mean(), se(k1n), table.zeta1 * k1 + table.c1,
-            sigmas, n, rt, note=f"state t={t}, K1={k1:.4g}"))
+            f"drift_k1_state{i}", k1n.mean(), _sample_se(k1n), table.zeta1 * k1 + table.c1,
+            n, rt, note=f"state t={t}, K1={k1:.4g}"))
         reports.append(McReport.one_sided(
-            f"drift_k2_state{i}", k2n.mean(), se(k2n), table.zeta2 * k2 + table.c2,
-            sigmas, n, rt, note=f"state t={t}, K2={k2:.4g}"))
+            f"drift_k2_state{i}", k2n.mean(), _sample_se(k2n), table.zeta2 * k2 + table.c2,
+            n, rt, note=f"state t={t}, K2={k2:.4g}"))
         if j >= table.eta:
             reports.append(McReport.one_sided(
-                f"drift_j_state{i}", jn.mean(), se(jn), table.beta * j,
-                sigmas, n, rt, note=f"J={j:.4g} >= eta"))
+                f"drift_j_state{i}", jn.mean(), _sample_se(jn), table.beta * j,
+                n, rt, note=f"J={j:.4g} >= eta"))
     return reports
 
 
@@ -369,36 +381,23 @@ def verify_drift_mc(p: ModelParams, states, n: int, rng: RngStream,
 
 def stopped_states(p: ModelParams, U0, W0, times: Sequence[int], seed: int):
     """Coupled records frozen at fixed times along one seeded trajectory."""
-    rng = RngStream(seed, stream_id=0)
-    rec = init_record(tuple(map(float, U0)), tuple(map(float, W0)))
     want = sorted(set(int(t) for t in times))
-    out = {}
-    if want and want[0] == 0:
-        out[0] = rec
-    for t in range(1, (max(want) if want else 0) + 1):
-        block = draw_block(p, rng, t=t)
-        rec = ratio_step(rec, block, p)
-        if t in want:
-            out[t] = rec
-    return [out[t] for t in want]
+    recs = list(_walk(p, U0, W0, max(want, default=0), seed))
+    return [recs[t] for t in want]
 
 
 def one_shot_ratio_bound_mc(p: ModelParams, records, trials: int, cfg: McConfig,
-              table: Optional[ConstantsTable] = None):
+                            table: Optional[ConstantsTable] = None):
     """One-shot miscoupling frequency vs 1 - R^{-(a2+a3+a4+a5)} at stopped states."""
     reports = []
-    sum_a = p.sum_tail
     for i, rec in enumerate(records):
         stream = RngStream(cfg.seed, stream_id=3_000 + i)
-        u = (np.full(trials, float(rec.u[0])), np.full(trials, float(rec.u[1])))
-        w = (np.full(trials, float(rec.w[0])), np.full(trials, float(rec.w[1])))
         t0 = time.perf_counter()
-        miss, _ = _one_shot_indicators(p, u, w, stream)
+        miss, _ = _one_shot_indicators(p, _broadcast_state(rec.u, trials), _broadcast_state(rec.w, trials), stream)
         freq = float(miss.mean())
-        se = math.sqrt(max(freq * (1 - freq), 0.0) / trials)
-        target = 1.0 - float(rec.ratio) ** (-sum_a)
+        target = 1.0 - float(rec.ratio) ** (-p.sum_tail)
         reports.append(McReport.one_sided(
-            f"one_shot_ratio_state{i}", freq, se, target, cfg.confidence_sigmas, trials,
+            f"one_shot_ratio_state{i}", freq, _binomial_se(freq, trials), target, trials,
             time.perf_counter() - t0, note=f"R_t={float(rec.ratio):.6g} at t={rec.t}"))
     return reports
 
@@ -412,16 +411,19 @@ class StoppingTimeData:
     rhat_at_s: np.ndarray
     q_at_s: np.ndarray
     r_at_s2: np.ndarray
-    jcheck_sums: np.ndarray       # sums of J-hat_{0,t}, t = 1..tmax
+    jcheck_sums: np.ndarray       # sums of J-hat_{0,t}, t = 1..JCHECK_TMAX
     jcheck_sumsq: np.ndarray
     j0: float
     n: int
 
 
 def stopping_time_mc(p: ModelParams, U0, W0, cfg: McConfig,
-                 table: Optional[ConstantsTable] = None,
-                 jcheck_tmax: int = 10, cap: int = 5_000) -> StoppingTimeData:
-    """Track R, r-hat, and Q at S = first t >= 1 with J_t <= eta, plus R_{S+2}."""
+                     table: Optional[ConstantsTable] = None) -> StoppingTimeData:
+    """Track R, r-hat, and Q at S = first t >= 1 with J_t <= eta, plus R_{S+2}.
+
+    r-hat (:func:`~gibbscert.ratio_drift.compute_r_hat`) is evaluated only
+    on the replicas that enter at the current step.
+    """
     table = table or compute_constants(p)
     eta = table.eta
     env = envelope_init(U0, W0)
@@ -434,55 +436,48 @@ def stopping_time_mc(p: ModelParams, U0, W0, cfg: McConfig,
         rhat_s = np.full(m, np.nan)
         q_s = np.full(m, np.nan)
         r_s2 = np.full(m, np.nan)
-        jc_sum = np.zeros(jcheck_tmax + 1)
-        jc_sq = np.zeros(jcheck_tmax + 1)
+        jc_sum = np.zeros(JCHECK_TMAX + 1)
+        jc_sq = np.zeros(JCHECK_TMAX + 1)
         t = 0
         while True:
             t += 1
-            if t > cap:
+            if t > STOPPING_CAP:
                 raise RuntimeError("stopping time did not resolve within cap")
-            block = draw_block(p, rng, t=t, size=m)
-            rec = ratio_step(rec, block, p)
+            rec = ratio_step(rec, draw_block(p, rng, size=m), p)
             hit = (s_time < 0) & (rec.j <= eta)
             s_time[hit] = t
             r_s[hit] = rec.ratio[hit]
-            rhat_s[hit] = rec.r_hat[hit]
+            rhat_s[hit] = compute_r_hat(tuple(c[hit] for c in rec.u), tuple(c[hit] for c in rec.v), p)
             at_s1 = s_time == t - 1
             q_s[at_s1] = rec.q[at_s1]
             at_s2 = s_time == t - 2
             r_s2[at_s2] = rec.ratio[at_s2]
-            if t <= jcheck_tmax:
+            if t <= JCHECK_TMAX:
                 alive = s_time < 0  # J has stayed above eta through t
                 vals = np.where(alive, rec.j, 0.0)
                 jc_sum[t] += vals.sum()
                 jc_sq[t] += np.square(vals).sum()
-            if np.all(s_time >= 0) and t >= int(s_time.max()) + 2 and t >= jcheck_tmax:
+            if np.all(s_time >= 0) and t >= int(s_time.max()) + 2 and t >= JCHECK_TMAX:
                 break
-        return s_time, r_s, rhat_s, q_s, r_s2, jc_sum, jc_sq
+        return (s_time, r_s, rhat_s, q_s, r_s2), (jc_sum, jc_sq)
 
-    parts = _run_chunked(chunk_fn, cfg.n_replicas, cfg, stream_offset=0)
-    cat = lambda k: np.concatenate([np.atleast_1d(part[k]) for part in parts])
+    per_replica, sums = zip(*_run_chunked(chunk_fn, cfg.n_replicas, cfg))
+    s_time, r_s, rhat_s, q_s, r_s2 = map(np.concatenate, zip(*per_replica))
+    jc_sum, jc_sq = _column_sums(sums)
     return StoppingTimeData(
-        s_time=cat(0), r_at_s=cat(1), rhat_at_s=cat(2), q_at_s=cat(3), r_at_s2=cat(4),
-        jcheck_sums=sum(part[5] for part in parts),
-        jcheck_sumsq=sum(part[6] for part in parts),
-        j0=float(env.j0), n=cfg.n_replicas,
+        s_time=s_time, r_at_s=r_s, rhat_at_s=rhat_s, q_at_s=q_s, r_at_s2=r_s2,
+        jcheck_sums=jc_sum, jcheck_sumsq=jc_sq, j0=float(env.j0), n=cfg.n_replicas,
     )
 
 
-def moment_identity_mc(a2: float, a4: float, n_pairs: int, seed: int, chunk: int = 2_000_000):
+def moment_identity_mc(a2: float, a4: float, n_pairs: int, seed: int):
     """MC estimate of E[(g2/g4 + g4/g2)/(g2 + g4)] for unit-rate gammas."""
     total = 0.0
-    done = 0
-    cid = 0
-    while done < n_pairs:
-        m = min(chunk, n_pairs - done)
+    for cid, m in enumerate(_chunks(n_pairs, IDENTITY_CHUNK)):
         rng = RngStream(seed, stream_id=7_000 + cid)
         g2 = rng.gamma(a2, size=m)
         g4 = rng.gamma(a4, size=m)
         total += float(np.sum((g2 / g4 + g4 / g2) / (g2 + g4)))
-        done += m
-        cid += 1
     return total / n_pairs
 
 
@@ -496,25 +491,58 @@ def _worst_margin_report(name, cases, n, runtime_s):
                     passed=worst <= 0.0, n=n, runtime_s=runtime_s, note=worst_note)
 
 
-def _paired_one_sided(name, lhs, rhs, sigmas, runtime_s, note=""):
+def _paired_one_sided(name, lhs, rhs, runtime_s, note=""):
     """Check E[lhs] <= E[rhs] via the paired differences lhs - rhs."""
     diff = lhs - rhs
-    n = diff.size
-    se = float(diff.std(ddof=1) / math.sqrt(n))
-    return McReport.one_sided(
-        name, float(diff.mean()), se, 0.0, sigmas, n, runtime_s,
-        note=note, extra={"lhs_mean": float(lhs.mean()), "rhs_mean": float(rhs.mean())},
-    )
+    return McReport.one_sided(name, float(diff.mean()), _sample_se(diff), 0.0, diff.size, runtime_s, note=note)
+
+
+def _checked_sweep(p: ModelParams, U0, W0, cfg: McConfig, table: ConstantsTable):
+    """:func:`run_replicas` as ``(stats, violation, runtime_s)``; a violation is returned as its state dump."""
+    t0 = time.perf_counter()
+    try:
+        stats, violation = run_replicas(p, U0, W0, cfg, table), None
+    except PathwiseViolation as exc:
+        stats, violation = None, str(exc)
+    return stats, violation, time.perf_counter() - t0
+
+
+def _excursion_reports(stats: ReplicaStats, table: ConstantsTable, rt: float):
+    """(c) excursion-count bound and (f) ratio decay curve of a sweep from a J0 <= eta start."""
+    if stats.j0 > table.eta:
+        raise ValueError("the excursion-count check requires a start with J0 <= eta")
+
+    def excursion_count(t, k):
+        freq = stats.visits_hist[t, k] / stats.n
+        se = _binomial_se(freq, stats.n)
+        target = min(1.0, math.comb(t, k) * table.beta ** (t - k))
+        return freq - (target + SIGMAS * se), f"(t={t}, k={k}): freq={freq:.4g} vs {target:.4g}"
+
+    def ratio_decay(t):
+        mean = stats.mean_ratio[t + 2]
+        se = stats.se_ratio[t + 2]
+        target = 1.0 + 3.0 * table.r ** (t / (2.0 * table.d)) * (stats.r0 - 1.0)
+        return mean - (target + SIGMAS * se), f"t={t}: E[R_(t+2)]={mean:.6g} vs {target:.6g}"
+
+    return [
+        _worst_margin_report(
+            "excursion_counts",
+            (excursion_count(t, k) for t in range(1, VISIT_TMAX + 1) for k in range(t + 1)), stats.n, rt),
+        _worst_margin_report("ratio_decay_curve", map(ratio_decay, (1, 2, 5, 10, 20, 50)), stats.n, rt),
+    ]
 
 
 def verify_inequality_suite(p: ModelParams, cfg: McConfig,
-                       table: Optional[ConstantsTable] = None,
-                       probe_times=(0, 1, 2, 3, 5, 8, 12, 20, 35, 60),
-                       probe_trials: Optional[int] = None,
-                       identity_pairs: int = 1_000_000):
-    """The full inequality-level MC verification battery for an n = 4 model."""
+                            table: Optional[ConstantsTable] = None,
+                            probe_times=(0, 1, 2, 3, 5, 8, 12, 20, 35, 60),
+                            probe_trials: Optional[int] = None,
+                            identity_pairs: int = 1_000_000):
+    """The full inequality-level MC verification battery for an n = 4 model.
+
+    A :class:`PathwiseViolation` in the excursion sweep fails both of its
+    rows, with the state dump as their note.
+    """
     table = table or compute_constants(p)
-    sig = cfg.confidence_sigmas
     reports = []
 
     # (a) one-shot ratio-power bound at stopped states along a seeded trajectory
@@ -528,53 +556,31 @@ def verify_inequality_suite(p: ModelParams, cfg: McConfig,
     rt = time.perf_counter() - t0
     reports.append(_paired_one_sided(
         "stopped_ratio_contraction", data.r_at_s2 - 1.0, table.r * (data.r_at_s - 1.0),
-        sig, rt, note="E[R_{S+2}-1] <= r E[R_S-1], S = first J <= eta"))
+        rt, note="E[R_{S+2}-1] <= r E[R_S-1], S = first J <= eta"))
     reports.append(_paired_one_sided(
         "stopped_q_bound", data.q_at_s * data.r_at_s,
         data.rhat_at_s * (data.r_at_s - 1.0) + 1.0,
-        sig, rt, note="E[Q_S R_S] <= E[r-hat_S (R_S - 1)] + 1"))
+        rt, note="E[Q_S R_S] <= E[r-hat_S (R_S - 1)] + 1"))
 
     def j_decay(t):
-        mean = data.jcheck_sums[t] / data.n
-        var = max(data.jcheck_sumsq[t] / data.n - mean ** 2, 0.0)
-        se = math.sqrt(var / data.n)
+        mean, se = _mean_se(data.jcheck_sums[t], data.jcheck_sumsq[t], data.n)
         target = table.beta ** t * max(table.eta, data.j0)
-        return mean - (target + sig * se), f"t={t}: E[J-check]={mean:.4g} vs {target:.4g}"
+        return mean - (target + SIGMAS * se), f"t={t}: E[J-check]={mean:.4g} vs {target:.4g}"
 
     reports.append(_worst_margin_report(
         "excursion_j_decay", map(j_decay, range(1, data.jcheck_sums.size)), data.n, rt))
 
-    # (c) excursion-count bound and (f) ratio decay curve, J0 <= eta start
-    cfg8 = McConfig(n_replicas=cfg.n_replicas, horizon=max(VISIT_TMAX, 52),
-                    seed=cfg.seed + 29, confidence_sigmas=sig,
-                    workers=cfg.workers, chunk_size=cfg.chunk_size)
-    t0 = time.perf_counter()
-    stats = run_replicas(p, (1.0, 2.0), (0.5, 4.0), cfg8, table)
-    rt = time.perf_counter() - t0
-    if stats.j0 > table.eta:
-        raise ValueError("the excursion-count check requires a start with J0 <= eta")
-
-    def excursion_count(t, k):
-        freq = stats.visits_hist[t, k] / stats.n
-        se = math.sqrt(max(freq * (1 - freq), 0.0) / stats.n)
-        target = min(1.0, math.comb(t, k) * table.beta ** (t - k))
-        return freq - (target + sig * se), f"(t={t}, k={k}): freq={freq:.4g} vs {target:.4g}"
-
-    def ratio_decay(t):
-        mean = stats.mean_ratio[t + 2]
-        se = stats.se_ratio[t + 2]
-        target = 1.0 + 3.0 * table.r ** (t / (2.0 * table.d)) * (stats.r0 - 1.0)
-        return mean - (target + sig * se), f"t={t}: E[R_(t+2)]={mean:.6g} vs {target:.6g}"
-
-    reports.append(_worst_margin_report(
-        "excursion_counts",
-        (excursion_count(t, k) for t in range(1, VISIT_TMAX + 1) for k in range(t + 1)), stats.n, rt))
-    reports.append(_worst_margin_report(
-        "ratio_decay_curve", map(ratio_decay, (1, 2, 5, 10, 20, 50)), stats.n, rt))
+    # (c) and (f) from one sweep started at J0 <= eta
+    sweep_cfg = replace(cfg, horizon=max(VISIT_TMAX, 52), seed=cfg.seed + 29)
+    stats, violation, rt = _checked_sweep(p, (1.0, 2.0), (0.5, 4.0), sweep_cfg, table)
+    if violation:
+        reports += [McReport.pass_fail(name, False, cfg.n_replicas, rt, violation)
+                    for name in ("excursion_counts", "ratio_decay_curve")]
+    else:
+        reports += _excursion_reports(stats, table, rt)
 
     # (e) closed-form moment identity
-    shapes = block_shapes(p)
-    for (s2, s4) in ((shapes[1], shapes[3]), (2.0, 2.0)):
+    for (s2, s4) in ((p.shapes[1], p.shapes[3]), (2.0, 2.0)):
         t0 = time.perf_counter()
         mc = moment_identity_mc(s2, s4, identity_pairs, cfg.seed + 41)
         cf = ratio_expectation_closed_form(s2, s4)
@@ -587,52 +593,43 @@ def verify_inequality_suite(p: ModelParams, cfg: McConfig,
     return reports
 
 
-def verify_auxiliary_math(d_values=(9.2551, 9.3047, 3.0), betas=(7.0 / 9.0, 0.51, 0.6, 0.9, 0.99)):
-    """Deterministic sweeps for the calculus facts behind the rate constants."""
-    reports = []
-
+def _first_failure_report(name, failures, n):
+    """A deterministic sweep as one report: the first note ``failures`` yields fails it."""
     t0 = time.perf_counter()
-    ok = True
-    note = ""
-    for d in d_values:
-        for t in range(1, 1001):
-            k = int(t // d)
-            log_binom = sp.gammaln(t + 1) - sp.gammaln(k + 1) - sp.gammaln(t - k + 1)
-            if log_binom > (t / d) * (math.log(d) + 1.0) + 1e-9:
-                ok, note = False, f"binomial bound fails at t={t}, d={d}"
-                break
-    reports.append(McReport("aux_binomial_bound", 0.0 if ok else 1.0, 0.0, 0.0,
-                            ok, 1000 * len(d_values), time.perf_counter() - t0, note))
+    note = next(failures, "")
+    return McReport.pass_fail(name, not note, n, time.perf_counter() - t0, note)
 
-    t0 = time.perf_counter()
-    y = np.logspace(math.log10(0.01), 2, 2000)
-    ok = True
-    note = ""
-    for beta in betas:
-        lhs = y * beta ** y
-        rhs = 2.0 * beta ** (y / 2.0) / (math.e * abs(math.log(beta)))
-        if not np.all(lhs <= rhs * (1 + 1e-12)):
-            ok, note = False, f"y*beta^y bound fails for beta={beta}"
-            break
-    reports.append(McReport("aux_ybetay_bound", 0.0 if ok else 1.0, 0.0, 0.0,
-                            ok, y.size * len(betas), time.perf_counter() - t0, note))
 
-    t0 = time.perf_counter()
-    ok = True
-    note = ""
-    xs = np.logspace(-2, 2, 200)
-    ys = np.logspace(-2, 2, 200)
+def _log_binom(t, k):
+    return sp.gammaln(t + 1) - sp.gammaln(k + 1) - sp.gammaln(t - k + 1)
+
+
+def _secant_failures(xs, ys):
     for a, b in ((1.0, 2.0), (0.5, 3.0), (2.0, 2.5)):
         g = (xs[:, None] / b + ys[None, :]) / (xs[:, None] / a + ys[None, :])
         if not np.all(np.diff(g, axis=0) <= 1e-12):
-            ok, note = False, f"not decreasing in x for (a,b)=({a},{b})"
-            break
+            yield f"not decreasing in x for (a,b)=({a},{b})"
         if not np.all(np.diff(g, axis=1) >= -1e-12):
-            ok, note = False, f"not increasing in y for (a,b)=({a},{b})"
-            break
-    reports.append(McReport("aux_secant_monotone", 0.0 if ok else 1.0, 0.0, 0.0,
-                            ok, xs.size * ys.size * 3, time.perf_counter() - t0, note))
-    return reports
+            yield f"not increasing in y for (a,b)=({a},{b})"
+
+
+def verify_auxiliary_math():
+    """Deterministic sweeps for the calculus facts behind the rate constants."""
+    binomial = (
+        f"binomial bound fails at t={t}, d={d}" for d in AUX_D_VALUES for t in range(1, 1001)
+        if _log_binom(t, int(t // d)) > (t / d) * (math.log(d) + 1.0) + 1e-9
+    )
+    y = np.logspace(math.log10(0.01), 2, 2000)
+    ybetay = (
+        f"y*beta^y bound fails for beta={beta}" for beta in AUX_BETAS
+        if not np.all(y * beta ** y <= 2.0 * beta ** (y / 2.0) / (math.e * abs(math.log(beta))) * (1 + 1e-12))
+    )
+    grid = np.logspace(-2, 2, 200)
+    return [
+        _first_failure_report("aux_binomial_bound", binomial, 1000 * len(AUX_D_VALUES)),
+        _first_failure_report("aux_ybetay_bound", ybetay, y.size * len(AUX_BETAS)),
+        _first_failure_report("aux_secant_monotone", _secant_failures(grid, grid), grid.size * grid.size * 3),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +644,13 @@ def tv_grid_reports(p: ModelParams, U0, W0, t_grid, cfg: McConfig,
     indicator fraction and the conditional estimate; strict decrease across
     the grid is asserted on the conditional estimate, which still resolves
     probabilities below 1/n_replicas once chains have numerically coalesced.
+    A grid of fewer than two points has no decay to show and fails it.
     """
     table = table or compute_constants(p)
     reports = [estimate_tv_by_coupling(p, U0, W0, t, cfg, table) for t in t_grid]
     conds = [r.extra["conditional"] for r in reports]
     fracs = [r.estimate for r in reports]
-    strict = all(b < a for a, b in zip(conds, conds[1:]))
+    strict = len(conds) > 1 and all(b < a for a, b in zip(conds, conds[1:]))
     frac_noninc = all(b <= a for a, b in zip(fracs, fracs[1:]))
     reports.append(McReport(
         name=f"tv_decay_n{p.n}", estimate=0.0 if strict else 1.0, ci_halfwidth=0.0,
@@ -685,16 +683,9 @@ DEFAULT_STARTS = {4: ((1.0, 2.0), (0.5, 4.0)), 3: ((1.0,), (4.0,))}
 
 def _pathwise_report(p: ModelParams, U0, W0, cfg: McConfig, table: ConstantsTable) -> McReport:
     """The replica sweep as one report; a :class:`PathwiseViolation` fails it with its state dump."""
-    t0 = time.perf_counter()
-    try:
-        run_replicas(p, U0, W0, cfg, table)
-    except PathwiseViolation as exc:
-        passed, note = False, str(exc)
-    else:
-        passed, note = True, f"{cfg.n_replicas} replicas x {cfg.horizon} steps, all pathwise checks"
-    return McReport(
-        name="pathwise_suite", estimate=0.0 if passed else 1.0, ci_halfwidth=0.0, target=0.0,
-        passed=passed, n=cfg.n_replicas * cfg.horizon, runtime_s=time.perf_counter() - t0, note=note)
+    _, violation, rt = _checked_sweep(p, U0, W0, cfg, table)
+    note = violation or f"{cfg.n_replicas} replicas x {cfg.horizon} steps, all pathwise checks"
+    return McReport.pass_fail("pathwise_suite", violation is None, cfg.n_replicas * cfg.horizon, rt, note)
 
 
 def verify_suite(p: ModelParams, cfg: McConfig, t_grid=(5, 10, 25, 50, 100)):
@@ -704,7 +695,7 @@ def verify_suite(p: ModelParams, cfg: McConfig, t_grid=(5, 10, 25, 50, 100)):
     reports = [_pathwise_report(p, U0, W0, cfg, table)]
     if p.n == 4:
         states = default_drift_states(p, cfg.seed + 3)
-        reports += verify_drift_mc(p, states, max(10_000, cfg.n_replicas), RngStream(cfg.seed), cfg, table)
+        reports += verify_drift_mc(p, states, max(10_000, cfg.n_replicas), cfg.seed, table)
         reports += verify_inequality_suite(p, cfg, table)
     reports += tv_grid_reports(p, U0, W0, t_grid, cfg, table)
     reports += verify_auxiliary_math()

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,13 @@ from gibbscert.verify import McReport
 
 ARGS_N4 = ["--x", "2", "--b", "3", "--a", "1,2,3,4,5"]
 ARGS_N3 = ["--x", "1", "--b", "2", "--a", "1,2,3,4"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, env_extra=None):
     env = dict(os.environ)
     env.pop("GIBBSCERT_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -191,6 +194,18 @@ class TestExitCodes:
         (["constants", "--x", "inf", "--b", "3", "--a", "1,2,3,4,5"], "x must be finite, got inf"),
         (["verify", *ARGS_N4, "--horizon", "0"], "horizon must be at least 1, got 0"),
         (["estimate-pi", *ARGS_N4, "--thinning", "0"], "thinning must be at least 1, got 0"),
+        (["simulate", "--x", "2", "--b", "3", "--a", "0.1,0.1,2,2,2"], "a1+a2 <= 1/3"),
+        (["bound", *ARGS_N4, "--t-grid=-3,2"], "t-grid entries must be non-negative integers, got -3"),
+        (["bound", *ARGS_N4, "--t-grid", "0,2.7"], "t-grid entries must be non-negative integers, got 2.7"),
+        (["verify", *ARGS_N4, "--quick", "--t-grid=-5,3"], "t-grid entries must be non-negative integers, got -5"),
+        (["verify", *ARGS_N4, "--quick", "--t-grid", "2.5,5"],
+         "t-grid entries must be non-negative integers, got 2.5"),
+        (["verify", *ARGS_N3, "--quick", "--t-grid", ""],
+         "verify needs at least two strictly increasing t-grid points, got []"),
+        (["verify", *ARGS_N4, "--quick", "--t-grid", "5"],
+         "verify needs at least two strictly increasing t-grid points, got [5]"),
+        (["verify", *ARGS_N4, "--quick", "--t-grid", "10,5"],
+         "verify needs at least two strictly increasing t-grid points, got [10, 5]"),
     ])
     def test_bad_value_exit_2_names_it(self, argv, named, capsys):
         assert main(argv) == 2
@@ -199,13 +214,11 @@ class TestExitCodes:
     def test_pathwise_violation_is_a_failed_row(self, monkeypatch, tmp_path):
         import gibbscert.verify as verify_mod
         real = verify_mod.check_pathwise
-        failed = []
 
         def one_replica_fails(rec_t, rec_t1, g, p):
-            # replica 7 fails once, at step 3 of the first sweep (the pathwise suite)
+            # replica 7 fails at step 3 of every checked sweep
             checks = real(rec_t, rec_t1, g, p)
-            if rec_t.t == 3 and not failed:
-                failed.append(True)
+            if rec_t.t == 3:
                 checks["order_chain"] = checks["order_chain"].copy()
                 checks["order_chain"][7] = False
             return checks
@@ -213,12 +226,13 @@ class TestExitCodes:
         monkeypatch.setattr(verify_mod, "check_pathwise", one_replica_fails)
         out = tmp_path / "verify.csv"
         rc = main(["verify", *ARGS_N4, "--quick", "--replicas", "300", "--horizon", "10",
-                   "--t-grid", "2", "--workers", "1", "--output", str(out)])
+                   "--t-grid", "2,5", "--workers", "1", "--output", str(out)])
         assert rc == 1
-        row = next(line for line in out.read_text().splitlines() if line.startswith("pathwise_suite,"))
-        name, estimate, _, _, passed, n, note = row.split(",", 6)
-        assert (estimate, passed, n) == ("1.0", "False", "3000")
-        assert "'check': 'order_chain', 't': 3, 'replicas': [7]" in note
+        rows = {line.split(",", 1)[0]: line.split(",", 6) for line in out.read_text().splitlines()}
+        for name, n in (("pathwise_suite", "3000"), ("excursion_counts", "300"), ("ratio_decay_curve", "300")):
+            _, estimate, _, _, passed, rows_n, note = rows[name]
+            assert (estimate, passed, rows_n) == ("1.0", "False", n), name
+            assert "'check': 'order_chain', 't': 3, 'replicas': [7]" in note, name
 
 
 class TestReproducibility:

@@ -81,7 +81,7 @@ class TestConstantsN4:
         # states with J >= eta contract in one step: E[J'] <= beta * J + 3 sigma
         from gibbscert.verify import history_states, verify_drift_mc
         states = history_states(p4, 73, [(0.004, 0.004), (150.0, 150.0)], [1, 1])
-        reports = verify_drift_mc(p4, states, 20_000, RngStream(73), table=table4)
+        reports = verify_drift_mc(p4, states, 20_000, 73, table=table4)
         j_reports = [r for r in reports if "drift_j" in r.name]
         assert j_reports and all(r.passed for r in j_reports)
 

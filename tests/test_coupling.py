@@ -5,20 +5,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbscert.chain import GammaBlock, draw_block
+from gibbscert.chain import draw_block, reduced_rates, step
 from gibbscert.coupling import (
     envelope_init,
     maximal_gamma_couple,
     one_shot_step,
-    reduced_rates,
-    uniform_coupled_step,
 )
 from gibbscert.gamma import gamma_tv
 from gibbscert.rng import RngStream
 
 
 def block(*gammas):
-    return GammaBlock(gamma=np.array(gammas, dtype=float))
+    return tuple(map(float, gammas))
 
 
 class TestEnvelope:
@@ -49,12 +47,12 @@ class TestEnvelope:
 class TestUniformCoupling:
     def test_equal_states_stay_equal(self, p4):
         g = draw_block(p4, RngStream(3))
-        a, b = uniform_coupled_step((1.3, 0.6), (1.3, 0.6), g, p4)
+        a, b = step((1.3, 0.6), g, p4), step((1.3, 0.6), g, p4)
         assert a == b
 
     def test_hand_values(self, p4):
         g = block(1, 1, 1, 1)
-        u1, w1 = uniform_coupled_step((1.0, 1.0), (2.0, 2.0), g, p4)
+        u1, w1 = step((1.0, 1.0), g, p4), step((2.0, 2.0), g, p4)
         assert u1 == pytest.approx((1.2, 2 / 7))
         assert w1 == pytest.approx((2.0, 4 / 13))
 
@@ -67,7 +65,7 @@ class TestUniformCoupling:
         w2 = u2 + rng.gamma(1.0, size=n)
         w4 = u4 + rng.gamma(1.0, size=n)
         g = draw_block(p4, rng, size=n)
-        (a2, a4), (b2, b4) = uniform_coupled_step((u2, u4), (w2, w4), g, p4)
+        (a2, a4), (b2, b4) = step((u2, u4), g, p4), step((w2, w4), g, p4)
         assert np.all(a2 <= b2)
         assert np.all(a4 <= b4)
 
@@ -82,10 +80,10 @@ class TestUniformCoupling:
         hi = (np.full(n, env.w0[0]), np.full(n, env.w0[1]))
         for t in range(1_000):
             g = draw_block(p4, rng, size=n)
-            lo = uniform_coupled_step(lo, lo, g, p4)[0]
-            hi = uniform_coupled_step(hi, hi, g, p4)[0]
-            U = uniform_coupled_step(U, U, g, p4)[0]
-            W = uniform_coupled_step(W, W, g, p4)[0]
+            lo = step(lo, g, p4)
+            hi = step(hi, g, p4)
+            U = step(U, g, p4)
+            W = step(W, g, p4)
             for s in (U, W):
                 assert np.all(lo[0] <= s[0]) and np.all(s[0] <= hi[0])
                 assert np.all(lo[1] <= s[1]) and np.all(s[1] <= hi[1])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbscert.chain import GammaBlock, draw_block
+from gibbscert.chain import draw_block
 from gibbscert.ratio_drift import (
     REL_SLACK,
     PathwiseViolation,
@@ -21,7 +21,7 @@ from gibbscert.rng import RngStream
 
 
 def block(*gammas):
-    return GammaBlock(gamma=np.array(gammas, dtype=float))
+    return tuple(map(float, gammas))
 
 
 class TestRatioStep:
@@ -46,7 +46,7 @@ class TestRatioStep:
             (np.full(n, 0.5), np.full(n, 0.5)), (np.full(n, 4.0), np.full(n, 4.0)))
         prev = rec.ratio
         for t in range(1, 1_001):
-            rec = ratio_step(rec, draw_block(p4, rng, t=t, size=n), p4)
+            rec = ratio_step(rec, draw_block(p4, rng, size=n), p4)
             assert np.all(rec.ratio <= prev * (1 + REL_SLACK))
             prev = rec.ratio
 
@@ -55,7 +55,7 @@ class TestRatioStep:
         n = 500
         rec = init_record((np.full(n, 1.0), np.full(n, 2.0)), (np.full(n, 0.5), np.full(n, 4.0)))
         for t in range(1, 200):
-            rec = ratio_step(rec, draw_block(p4, rng, t=t, size=n), p4)
+            rec = ratio_step(rec, draw_block(p4, rng, size=n), p4)
             assert np.all(rec.w[0] / rec.u[0] <= rec.ratio * (1 + REL_SLACK))
             assert np.all(rec.w[1] / rec.u[1] <= rec.ratio * (1 + REL_SLACK))
 
@@ -72,7 +72,7 @@ class TestQ:
         rng = RngStream(55)
         rec = init_record((0.5, 0.5), (4.0, 4.0))
         for t in range(1, 300):
-            g = draw_block(p4, rng, t=t)
+            g = draw_block(p4, rng)
             q = compute_q(rec.u, rec.v, g, p4)
             rec1 = ratio_step(rec, g, p4)
             assert rec1.q == q
@@ -162,7 +162,7 @@ class TestPathwiseChecks:
         n = 2_000
         rec = init_record((np.full(n, 1.0), np.full(n, 2.0)), (np.full(n, 0.5), np.full(n, 4.0)))
         for t in range(1, 200):
-            g = draw_block(p4, rng, t=t, size=n)
+            g = draw_block(p4, rng, size=n)
             rec1 = ratio_step(rec, g, p4)
             checks = check_pathwise(rec, rec1, g, p4)
             assert set(checks) == {
@@ -177,7 +177,7 @@ class TestPathwiseChecks:
         rng = RngStream(62)
         rec = init_record((1.0, 1.0), (1.0, 1.0))
         for t in range(1, 100):
-            g = draw_block(p4, rng, t=t)
+            g = draw_block(p4, rng)
             rec1 = ratio_step(rec, g, p4)
             assert rec1.ratio == 1.0
             for name, ok in check_pathwise(rec, rec1, g, p4).items():
