@@ -10,15 +10,14 @@ from .chain import (
     ModelParams,
     ParamError,
     draw_block,
-    log_equilibrium_density,
     reduced_rates,
     step,
     step_full,
     validate_params,
 )
 from .constants import ConstantsTable, compute_constants, compute_constants_n3, compute_constants_n4, ratio_expectation_closed_form
-from .coupling import CouplingOutcome, EnvelopeInit, envelope_init, maximal_gamma_couple, one_shot_step
-from .gamma import GammaParams, check_density_envelope, gamma_pdf_cdf, gamma_tv, median_probabilities, sample_gamma
+from .coupling import EnvelopeInit, envelope_init, one_shot_attempt
+from .gamma import check_density_envelope, gamma_cdf, gamma_logpdf, gamma_tv, median_probabilities
 from .ratio_drift import (
     CoupledRecord,
     PathwiseViolation,

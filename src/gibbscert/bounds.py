@@ -34,7 +34,11 @@ class BoundSpec:
     Fixed-start forms use ``r0``/``j0``; the equilibrium-start form uses
     ``e_r0_minus_1`` (an upper bound or estimate of the mean excess ratio at
     start) and ``e_j0``.  ``sum_a`` is a2+a3+a4+a5 for n = 4 and a2+a3 for
-    n = 3.
+    n = 3.  A spec whose theorem does not apply raises :class:`ParamError`:
+    ``n3`` is the n = 3 theorem and the others are n = 4 theorems,
+    ``fixed_start_small_j0`` needs ``j0 <= eta``, and since every start has
+    ``R0 >= 1`` and ``J0 = k*m + 1/(k*m) >= 2``, ``e_r0_minus_1 >= 0`` and
+    ``e_j0 >= 2``.
     """
 
     theorem: str
@@ -47,15 +51,23 @@ class BoundSpec:
 
     def __post_init__(self):
         if self.theorem not in THEOREMS:
-            raise ValueError(f"unknown theorem {self.theorem!r}")
+            raise ParamError(f"unknown theorem {self.theorem!r}")
+        if (self.theorem == "n3") != (self.table.n == 3):
+            raise ParamError(f"theorem {self.theorem} does not apply to an n={self.table.n} model")
         if self.theorem in ("fixed_start_small_j0", "fixed_start", "n3"):
             if self.r0 is None or self.r0 < 1:
-                raise ValueError("r0 >= 1 required")
+                raise ParamError("r0 >= 1 required")
             if self.theorem != "fixed_start_small_j0" and (self.j0 is None or self.j0 <= 0):
-                raise ValueError("j0 > 0 required")
+                raise ParamError("j0 > 0 required")
+            if self.theorem == "fixed_start_small_j0" and self.j0 is not None and self.j0 > self.table.eta:
+                raise ParamError(f"fixed_start_small_j0 requires j0 <= eta = {self.table.eta}, got {self.j0}")
         else:
             if self.e_r0_minus_1 is None or self.e_j0 is None:
-                raise ValueError("equilibrium_start requires e_r0_minus_1 and e_j0")
+                raise ParamError("equilibrium_start requires e_r0_minus_1 and e_j0")
+            if not 0 <= self.e_r0_minus_1 < math.inf:
+                raise ParamError(f"e_r0_minus_1 must be non-negative and finite, got {self.e_r0_minus_1}")
+            if not 2 <= self.e_j0 < math.inf:
+                raise ParamError(f"e_j0 must be at least 2 and finite, got {self.e_j0}")
 
 
 def evaluate_bound(spec: BoundSpec, t) -> float:
@@ -139,6 +151,10 @@ def estimate_pi_functionals(
     Warns when the within-chain lag-1 autocorrelation of the heavy functional
     exceeds ``autocorr_threshold``.
     """
+    if burn_in < 0:
+        raise ParamError(f"burn_in must be non-negative, got {burn_in}")
+    if n_samples < 1:
+        raise ParamError(f"n_samples must be at least 1, got {n_samples}")
     if thinning < 1:
         raise ParamError(f"thinning must be at least 1, got {thinning}")
     if rng is None:

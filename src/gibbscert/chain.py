@@ -36,9 +36,7 @@ __all__ = [
     "odd_coordinates",
     "reduced_rates",
     "step",
-    "step_reduced",
     "step_full",
-    "log_equilibrium_density",
 ]
 
 
@@ -76,6 +74,9 @@ def validate_params(p: ModelParams) -> ModelParams:
     """Check all parameter conditions, naming the first violated one."""
     if p.n not in (3, 4):
         raise ParamError(f"n must be 3 or 4, got {p.n}")
+    for name, v in (("x", p.x), ("b", p.b), *((f"a{i}", ai) for i, ai in enumerate(p.a, start=1))):
+        if not math.isfinite(v):
+            raise ParamError(f"{name} must be finite, got {v}")
     if not p.x > 0:
         raise ParamError("x <= 0")
     if not p.b > 0:
@@ -85,9 +86,6 @@ def validate_params(p: ModelParams) -> ModelParams:
     for i, ai in enumerate(p.a, start=1):
         if not ai > 0:
             raise ParamError(f"a{i} <= 0")
-    for name, v in (("x", p.x), ("b", p.b), *((f"a{i}", ai) for i, ai in enumerate(p.a, start=1))):
-        if not math.isfinite(v):
-            raise ParamError(f"{name} must be finite, got {v}")
     a = p.a
     if p.n == 4:
         pairs = [(1, 4), (2, 5), (2, 3), (3, 4), (4, 5)]
@@ -147,11 +145,6 @@ def step(s, gammas, p: ModelParams):
     return tuple(map(operator.truediv, gammas[1::2], reduced_rates(s, gammas[0::2], p)))
 
 
-# :func:`step` under its own name, so the benchmark can time the ratio process's chain updates
-def step_reduced(s, g, p: ModelParams):
-    return step(s, g, p)
-
-
 def step_full(s, g, p: ModelParams):
     """One update of the 4-coordinate kernel (odd coordinates, then even).
 
@@ -162,19 +155,4 @@ def step_full(s, g, p: ModelParams):
     u1, u3 = odd_coordinates(even, g[0::2], p)
     u2, u4 = step(even, g, p)
     return (u1, u2, u3, u4)
-
-
-def log_equilibrium_density(s, p: ModelParams):
-    """Unnormalized log posterior density at a 4-coordinate state.
-
-    ``sum_i (a_i + a_{i+1} - 1) ln z_i - sum_{i=1..5} z_i z_{i-1}`` with
-    ``z_0 = x`` and ``z_5 = b``.  The normalizer is never computed.
-    """
-    if p.n != 4:
-        raise ValueError("equilibrium density is exposed for n=4 only")
-    z = (p.x, *s, p.b)
-    shapes = block_shapes(p)
-    log_term = sum((shapes[i] - 1.0) * np.log(z[i + 1]) for i in range(4))
-    quad_term = sum(z[i] * z[i - 1] for i in range(1, 6))
-    return log_term - quad_term
 

@@ -1,27 +1,22 @@
-"""Gamma-distribution numerics used throughout the coupling machinery.
+"""Gamma-distribution numerics behind the coupling and its checks.
 
 Everything is parametrized by shape ``alpha`` and *rate* (inverse scale)
 ``beta``: the density is ``beta**alpha * y**(alpha-1) * exp(-beta*y) / Gamma(alpha)``.
 
 The key closed form is :func:`gamma_tv`: for two gammas with a common shape
 the densities cross exactly once, so the total variation distance is the CDF
-gap at the crossing point.  The envelope inequality of
-:func:`check_density_envelope` is what lets four ordered chains share one
-maximal-coupling construction.
+gap at the crossing point.  Two further facts the argument rests on are
+checked by ``verify`` over fixed sweeps: the envelope inequality of
+:func:`check_density_envelope`, which lets the coalescence of two envelope
+chains imply that of every chain between them, and the median facts of
+:func:`median_probabilities` behind the one-quarter bound ``r_hat``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
-from .rng import RngStream
-
 __all__ = [
-    "GammaParams",
-    "sample_gamma",
-    "gamma_pdf_cdf",
     "gamma_logpdf",
     "gamma_cdf",
     "gamma_tv",
@@ -30,29 +25,6 @@ __all__ = [
 ]
 
 ENVELOPE_SLACK = 1e-12  # relative slack of :func:`check_density_envelope`
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Shape/rate pair for a gamma distribution; both must be positive."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0):
-            raise ValueError(f"gamma shape must be positive, got {self.shape}")
-        if not (self.rate > 0):
-            raise ValueError(f"gamma rate must be positive, got {self.rate}")
-
-
-def sample_gamma(p: GammaParams, rng: RngStream):
-    """One exact draw from Gamma(shape, rate).
-
-    Deterministic given the stream state; advances the stream position.
-    Valid for all shapes, including shape < 1.
-    """
-    return rng.gamma(p.shape) / p.rate
 
 
 def gamma_logpdf(y, shape, rate):
@@ -72,23 +44,6 @@ def gamma_logpdf(y, shape, rate):
 def gamma_cdf(y, shape, rate=1.0):
     """Regularized lower incomplete gamma at ``rate * y``; abs error <= 1e-12."""
     return sp.gammainc(shape, np.multiply(rate, y))
-
-
-def gamma_pdf_cdf(y, p: GammaParams):
-    """(density, CDF) of Gamma(shape, rate) at ``y >= 0``."""
-    if np.any(np.asarray(y) < 0):
-        raise ValueError("y must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pdf = np.where(
-            y > 0,
-            np.exp(gamma_logpdf(np.where(y > 0, y, 1.0), p.shape, p.rate)),
-            p.rate if p.shape == 1.0 else (np.inf if p.shape < 1.0 else 0.0),
-        )
-    cdf = gamma_cdf(y, p.shape, p.rate)
-    if pdf.ndim == 0:
-        return float(pdf), float(cdf)
-    return pdf, cdf
 
 
 def gamma_tv(shape, rate1, rate2):

@@ -2,8 +2,9 @@
 
 Runs replicated coupled trajectories, checks every proven pathwise
 inequality on every step, estimates total variation by one-shot coupling,
-and verifies the probabilistic ingredients (drift conditions, stopping-time
-contraction, excursion counts) at desk scale.
+verifies the probabilistic ingredients (drift conditions, stopping-time
+contraction, excursion counts) at desk scale, and sweeps the deterministic
+facts behind the constants and the coupling.
 
 States are tuples of even coordinates, ``(u2, u4)`` for n = 4 and ``(u,)``
 for n = 3 (a bare scalar is accepted for the latter), and a block is the tuple
@@ -34,7 +35,7 @@ from .bounds import BoundSpec, evaluate_bound, wall_clock_step
 from .chain import ModelParams, ParamError, draw_block, reduced_rates, step, step_full
 from .constants import ConstantsTable, compute_constants, ratio_expectation_closed_form
 from .coupling import envelope_init, one_shot_attempt
-from .gamma import gamma_tv
+from .gamma import check_density_envelope, gamma_tv, median_probabilities
 from .ratio_drift import (
     PathwiseViolation, assert_pathwise, check_pathwise, compute_r_hat, drift_quantities, init_record, ratio_step,
 )
@@ -67,6 +68,9 @@ STOPPING_CAP = 5_000  # steps after which an unresolved stopping time is an erro
 IDENTITY_CHUNK = 2_000_000  # gamma pairs per stream in the moment identity
 AUX_D_VALUES = (9.2551, 9.3047, 3.0)
 AUX_BETAS = (7.0 / 9.0, 0.51, 0.6, 0.9, 0.99)
+AUX_ENVELOPE_SHAPES = (0.5, 1.0, 3.0, 9.0, 25.0)
+AUX_ENVELOPE_RATES = ((1.0, 2.0, 3.0, 4.0), (1.0, 1.1, 1.2, 1.3), (0.1, 0.5, 5.0, 50.0), (0.2, 0.21, 7.0, 7.5))
+AUX_MEDIAN_SHAPES = tuple(np.logspace(-2.0, 2.0, 81))
 
 
 @dataclass
@@ -84,6 +88,8 @@ class McConfig:
             raise ParamError(f"n_replicas must be at least 100 for CI-based checks, got {self.n_replicas}")
         if self.horizon < 1:
             raise ParamError(f"horizon must be at least 1, got {self.horizon}")
+        if self.workers is not None and self.workers < 1:
+            raise ParamError(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass
@@ -386,12 +392,14 @@ def stopped_states(p: ModelParams, U0, W0, times: Sequence[int], seed: int):
     return [recs[t] for t in want]
 
 
-def one_shot_ratio_bound_mc(p: ModelParams, records, trials: int, cfg: McConfig,
-                            table: Optional[ConstantsTable] = None):
-    """One-shot miscoupling frequency vs 1 - R^{-(a2+a3+a4+a5)} at stopped states."""
+def one_shot_ratio_bound_mc(p: ModelParams, records, trials: int, seed: int):
+    """One-shot miscoupling frequency vs 1 - R^{-(a2+a3+a4+a5)} at stopped states.
+
+    Record ``i`` draws its ``trials`` attempts from ``RngStream(seed, 3000 + i)``.
+    """
     reports = []
     for i, rec in enumerate(records):
-        stream = RngStream(cfg.seed, stream_id=3_000 + i)
+        stream = RngStream(seed, stream_id=3_000 + i)
         t0 = time.perf_counter()
         miss, _ = _one_shot_indicators(p, _broadcast_state(rec.u, trials), _broadcast_state(rec.w, trials), stream)
         freq = float(miss.mean())
@@ -547,7 +555,7 @@ def verify_inequality_suite(p: ModelParams, cfg: McConfig,
 
     # (a) one-shot ratio-power bound at stopped states along a seeded trajectory
     recs = stopped_states(p, (1.0, 2.0), (0.5, 4.0), probe_times, cfg.seed + 17)
-    reports += one_shot_ratio_bound_mc(p, recs, probe_trials or cfg.n_replicas, cfg, table)
+    reports += one_shot_ratio_bound_mc(p, recs, probe_trials or cfg.n_replicas, cfg.seed)
 
     # (b) stopped-ratio contraction, stopped Q bound, and excursion J decay,
     # all from one stopping-time run
@@ -614,7 +622,7 @@ def _secant_failures(xs, ys):
 
 
 def verify_auxiliary_math():
-    """Deterministic sweeps for the calculus facts behind the rate constants."""
+    """Deterministic sweeps for the calculus and gamma facts behind the constants and the coupling."""
     binomial = (
         f"binomial bound fails at t={t}, d={d}" for d in AUX_D_VALUES for t in range(1, 1001)
         if _log_binom(t, int(t // d)) > (t / d) * (math.log(d) + 1.0) + 1e-9
@@ -625,10 +633,22 @@ def verify_auxiliary_math():
         if not np.all(y * beta ** y <= 2.0 * beta ** (y / 2.0) / (math.e * abs(math.log(beta))) * (1 + 1e-12))
     )
     grid = np.logspace(-2, 2, 200)
+    envelope = (
+        f"density envelope fails for shape={a}, rates={rates}"
+        for a in AUX_ENVELOPE_SHAPES for rates in AUX_ENVELOPE_RATES
+        if not check_density_envelope(a, rates, y)
+    )
+    median = (
+        f"P[g <= a] or P[g >= a - 1/3] below 1/2 for g ~ Gamma(a={a:.6g}, 1)"
+        for a in AUX_MEDIAN_SHAPES if min(median_probabilities(a)) < 0.5
+    )
     return [
         _first_failure_report("aux_binomial_bound", binomial, 1000 * len(AUX_D_VALUES)),
         _first_failure_report("aux_ybetay_bound", ybetay, y.size * len(AUX_BETAS)),
         _first_failure_report("aux_secant_monotone", _secant_failures(grid, grid), grid.size * grid.size * 3),
+        _first_failure_report("aux_density_envelope", envelope,
+                              y.size * len(AUX_ENVELOPE_SHAPES) * len(AUX_ENVELOPE_RATES)),
+        _first_failure_report("aux_median_quarter", median, len(AUX_MEDIAN_SHAPES)),
     ]
 
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: total variation by direct
 quadrature of |f1 - f2| (no crossing-point formula), threshold solving in log
-space (no binary search), and conditional gamma moments by plain Monte Carlo
+space (no binary search), the one-step drift of J by quadrature of Laplace
+transforms (no sampling), and conditional gamma moments by plain Monte Carlo
 averaging.
 """
 import math
@@ -44,3 +45,22 @@ def batch_mean_ci(values):
     batch_means = np.asarray(values).mean(axis=tuple(range(1, np.ndim(values))))
     n = batch_means.size
     return float(batch_means.mean()), float(batch_means.std(ddof=1) / math.sqrt(n))
+
+
+def drift_j_by_quadrature(p, u2, u4):
+    """E[J' | u2, u4] = E[u2'] + E[u4'] + E[K2'] for the n = 4 chain, by 1-D quadrature.
+
+    With A_i = a_i + a_{i+1}, u1 ~ Gamma(A1, x + u2) and u3 ~ Gamma(A3, u2 + u4)
+    independent, and E[1/Y] = integral over s >= 0 of E[exp(-s Y)]:
+    E[u2'] = A2 E[1/(u1 + u3)], E[u4'] = A4 E[1/(u3 + b)], and
+    E[K2'] = E[u1 + u3 + b] / (A2 + A4 - 1).
+    """
+    A1, A2, A3, A4 = (p.a[i] + p.a[i + 1] for i in range(4))
+    r1, r3 = p.x + u2, u2 + u4
+    lap3 = lambda s: (1.0 + s / r3) ** -A3
+    quad = lambda f: integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-12)
+    inv_u13, err13 = quad(lambda s: (1.0 + s / r1) ** -A1 * lap3(s))
+    inv_u3b, err3b = quad(lambda s: math.exp(-s * p.b) * lap3(s))
+    assert err13 <= 1e-9 * inv_u13 and err3b <= 1e-9 * inv_u3b
+    k2 = (A1 / r1 + A3 / r3 + p.b) / (A2 + A4 - 1.0)
+    return A2 * inv_u13 + A4 * inv_u3b + k2

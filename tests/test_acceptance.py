@@ -19,7 +19,7 @@ import numpy as np
 import conftest
 from gibbscert.bounds import BoundSpec, estimate_pi_functionals, minimal_t
 from gibbscert.constants import ratio_expectation_closed_form
-from gibbscert.coupling import maximal_gamma_couple
+from gibbscert.coupling import one_shot_attempt
 from gibbscert.gamma import gamma_tv
 from gibbscert.rng import RngStream
 from gibbscert.verify import (
@@ -84,7 +84,8 @@ def test_criterion_04_gamma_tv_and_coupling():
     assert abs(tv - 0.25) <= 1e-12
     overlap = 1.0 - tv
     assert abs(overlap - 0.75) <= 1e-12
-    _, _, coalesced = maximal_gamma_couple(1.0, 2.0, 1.0, RngStream(SEED + 2), size=100_000)
+    n = 100_000
+    _, coalesced = one_shot_attempt(1.0, np.full(n, 2.0), np.full(n, 1.0), RngStream(SEED + 2))
     freq = coalesced.mean()
     se = math.sqrt(overlap * (1 - overlap) / coalesced.size)
     assert abs(freq - overlap) <= 3 * se
@@ -117,12 +118,11 @@ def test_criterion_06_drift_mc(p4, table4):
            time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_07_one_shot_ratio_bound(p4, table4):
+def test_criterion_07_one_shot_ratio_bound(p4):
     t0 = time.perf_counter()
-    cfg = McConfig(n_replicas=100_000, horizon=1, seed=SEED + 6)
     recs = stopped_states(p4, U0_4, W0_4, (0, 1, 2, 3, 5, 8, 12, 20, 35, 60), SEED + 7)
     assert len(recs) == 10
-    reports = one_shot_ratio_bound_mc(p4, recs, 100_000, cfg, table4)
+    reports = one_shot_ratio_bound_mc(p4, recs, 100_000, SEED + 6)
     failed = [r.name for r in reports if not r.passed]
     assert not failed, failed
     report(7, "one-shot miscoupling frequency <= 1 - R^(-14) + 3 sigma at 10 stopped "

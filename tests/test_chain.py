@@ -10,10 +10,8 @@ from gibbscert.chain import (
     ParamError,
     block_shapes,
     draw_block,
-    log_equilibrium_density,
     step,
     step_full,
-    step_reduced,
     validate_params,
 )
 from gibbscert.rng import RngStream
@@ -71,16 +69,16 @@ class TestBlocks:
 
 class TestSteps:
     def test_reduced_hand_values(self, p4):
-        assert step_reduced((1.0, 1.0), block(1, 1, 1, 1), p4) == pytest.approx((1.2, 2 / 7))
-        assert step_reduced((3.0, 1.0), block(1, 1, 1, 1), p4) == pytest.approx((20 / 9, 4 / 13))
-        assert step_reduced((1.0, 1.0), block(1, 2, 1, 1), p4) == pytest.approx((2.4, 2 / 7))
+        assert step((1.0, 1.0), block(1, 1, 1, 1), p4) == pytest.approx((1.2, 2 / 7))
+        assert step((3.0, 1.0), block(1, 1, 1, 1), p4) == pytest.approx((20 / 9, 4 / 13))
+        assert step((1.0, 1.0), block(1, 2, 1, 1), p4) == pytest.approx((2.4, 2 / 7))
 
     def test_full_hand_value_and_projection(self, p4):
         g = block(1, 1, 1, 1)
         out = step_full((9.0, 1.0, 9.0, 1.0), g, p4)
         assert out == pytest.approx((1 / 3, 1.2, 0.5, 2 / 7))
         assert step_full((5.0, 1.0, 5.0, 1.0), g, p4) == out  # u1, u3 ignored
-        red = step_reduced((1.0, 1.0), g, p4)
+        red = step((1.0, 1.0), g, p4)
         assert (out[1], out[3]) == red
 
     def test_full_independent_of_odd_coords_bulk(self, p4):
@@ -112,8 +110,8 @@ class TestSteps:
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_monotone_reduced(self, p4, u2, u4, d2, d4, g1, g2, g3, g4):
         g = block(g1, g2, g3, g4)
-        lo = step_reduced((u2, u4), g, p4)
-        hi = step_reduced((u2 + d2, u4 + d4), g, p4)
+        lo = step((u2, u4), g, p4)
+        hi = step((u2 + d2, u4 + d4), g, p4)
         assert lo[0] <= hi[0] and lo[1] <= hi[1]
 
     @given(u=st.floats(0.01, 100), d=st.floats(0.0, 100),
@@ -129,29 +127,12 @@ class TestSteps:
         u2, u4 = np.meshgrid(vals, vals)
         for _ in range(20):
             g = draw_block(p4, rng, size=u2.shape)
-            out2, out4 = step_reduced((u2, u4), g, p4)
+            out2, out4 = step((u2, u4), g, p4)
             assert np.all(np.isfinite(out2)) and np.all(out2 > 0)
             assert np.all(np.isfinite(out4)) and np.all(out4 > 0)
 
 
 class TestEquilibriumDensity:
-    def test_hand_value(self, p4):
-        assert log_equilibrium_density((1.0, 1.0, 1.0, 1.0), p4) == pytest.approx(-8.0, abs=1e-14)
-
-    def test_ratio_matches_exp_difference(self, p4):
-        s1 = (0.7, 1.3, 2.1, 0.4)
-        s2 = (1.9, 0.8, 0.6, 2.2)
-        l1 = log_equilibrium_density(s1, p4)
-        l2 = log_equilibrium_density(s2, p4)
-        # direct unnormalized density ratio
-        def dens(s):
-            z = (p4.x, *s, p4.b)
-            val = 1.0
-            for i in range(1, 5):
-                val *= z[i] ** (block_shapes(p4)[i - 1] - 1.0)
-            return val * math.exp(-sum(z[i] * z[i - 1] for i in range(1, 6)))
-        assert math.exp(l1 - l2) == pytest.approx(dens(s1) / dens(s2), rel=1e-10)
-
     def test_stationarity_one_more_kernel_step(self, p4):
         # after burn-in the mean of a bounded functional is unchanged (3 sigma)
         rng = RngStream(17)
@@ -183,7 +164,7 @@ class TestLift:
         g = draw_block(p4, rng)
         s = (0.8, 2.5)
         out = step_full((None, 0.8, None, 2.5), g, p4)
-        assert (out[1], out[3]) == step_reduced(s, g, p4)
+        assert (out[1], out[3]) == step(s, g, p4)
 
     def test_equal_states_lift_equal(self, p4):
         g = draw_block(p4, RngStream(21))

@@ -146,6 +146,12 @@ class TestConfigHandling:
         assert res.returncode == 2
         assert "a1+a4 <= 1" in res.stderr
 
+    def test_unknown_theorem_in_config_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("x=2.0\nb=3.0\na=1,2,3,4,5\ntheorem=bogus\n")
+        assert main(["bound", "--config", str(cfgfile)]) == 2
+        assert "unknown theorem 'bogus'" in capsys.readouterr().err
+
     def test_env_seed_override(self):
         base = run_cli(["estimate-pi", *ARGS_N4, "--burn-in", "100", "--n-samples", "2000",
                         "--thinning", "2", "--seed", "4"])
@@ -206,6 +212,20 @@ class TestExitCodes:
          "verify needs at least two strictly increasing t-grid points, got [5]"),
         (["verify", *ARGS_N4, "--quick", "--t-grid", "10,5"],
          "verify needs at least two strictly increasing t-grid points, got [10, 5]"),
+        (["min-t", *ARGS_N4, "--theorem", "fixed_start_small_j0", "--u0", "50,50", "--w0", "100,100"],
+         "fixed_start_small_j0 requires j0 <= eta = 10.028846153846153, got 100.01"),
+        (["min-t", *ARGS_N4, "--theorem", "n3"], "theorem n3 does not apply to an n=4 model"),
+        (["min-t", *ARGS_N3, "--theorem", "fixed_start_small_j0"],
+         "theorem fixed_start_small_j0 does not apply to an n=3 model"),
+        (["bound", *ARGS_N4, "--theorem", "equilibrium_start", "--e-r0-minus-1", "-5", "--e-j0", "-1"],
+         "e_r0_minus_1 must be non-negative and finite, got -5.0"),
+        (["bound", *ARGS_N4, "--theorem", "equilibrium_start", "--e-r0-minus-1", "5", "--e-j0", "1.5"],
+         "e_j0 must be at least 2 and finite, got 1.5"),
+        (["constants", "--x", "nan", "--b", "3", "--a", "1,2,3,4,5"], "x must be finite, got nan"),
+        (["simulate", *ARGS_N4, "--workers", "0"], "workers must be at least 1, got 0"),
+        (["verify", *ARGS_N4, "--quick", "--workers", "-3"], "workers must be at least 1, got -3"),
+        (["estimate-pi", *ARGS_N4, "--burn-in", "-1"], "burn_in must be non-negative, got -1"),
+        (["estimate-pi", *ARGS_N4, "--n-samples", "0"], "n_samples must be at least 1, got 0"),
     ])
     def test_bad_value_exit_2_names_it(self, argv, named, capsys):
         assert main(argv) == 2

@@ -1,18 +1,15 @@
-"""Uniform (monotone) coupling and one-shot maximal coupling."""
+"""Envelope start, uniform (monotone) coupling and the one-shot coalescence attempt."""
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gibbscert.chain import draw_block, reduced_rates, step
-from gibbscert.coupling import (
-    envelope_init,
-    maximal_gamma_couple,
-    one_shot_step,
-)
+from gibbscert.chain import draw_block, step
+from gibbscert.coupling import envelope_init, one_shot_attempt
 from gibbscert.gamma import gamma_tv
 from gibbscert.rng import RngStream
+from gibbscert.verify import _one_shot_indicators
 
 
 def block(*gammas):
@@ -90,59 +87,39 @@ class TestUniformCoupling:
 
 
 class TestMaximalGammaCouple:
+    """The one-shot attempt coalesces with the maximal-coupling probability 1 - TV."""
+
     def test_coalescence_frequency(self):
         rng = RngStream(37)
-        _, _, co = maximal_gamma_couple(1.0, 2.0, 1.0, rng, size=100_000)
+        n = 100_000
+        _, co = one_shot_attempt(1.0, np.full(n, 2.0), np.full(n, 1.0), rng)
         target = 1.0 - gamma_tv(1.0, 2.0, 1.0)[0]
         se = math.sqrt(target * (1 - target) / co.size)
         assert abs(co.mean() - target) <= 3 * se
 
     def test_equal_rates_always_coalesce(self):
         rng = RngStream(38)
-        y_u, y_w, co = maximal_gamma_couple(2.5, 1.7, 1.7, rng, size=1_000)
+        _, co = one_shot_attempt(2.5, np.full(1_000, 1.7), np.full(1_000, 1.7), rng)
         assert np.all(co)
-        assert np.array_equal(y_u, y_w)
 
     def test_marginals_ks(self):
+        # the candidate is the lower chain's coordinate: Gamma(shape, rate_u) whether or not it coalesces
         rng = RngStream(39)
-        y_u, y_w, _ = maximal_gamma_couple(3.0, 2.0, 0.7, rng, size=50_000)
-        assert stats.kstest(y_u, stats.gamma(a=3.0, scale=1 / 2.0).cdf).pvalue >= 1e-3
-        assert stats.kstest(y_w, stats.gamma(a=3.0, scale=1 / 0.7).cdf).pvalue >= 1e-3
-
-    def test_coalesced_implies_equal(self):
-        rng = RngStream(40)
-        y_u, y_w, co = maximal_gamma_couple(1.5, 3.0, 1.0, rng, size=10_000)
-        assert np.all(y_u[co] == y_w[co])
-        assert np.all(y_u[~co] != y_w[~co])
-
-    def test_scalar_api(self):
-        y_u, y_w, co = maximal_gamma_couple(2.0, 1.0, 2.0, RngStream(41))
-        assert isinstance(y_u, float) and isinstance(y_w, float) and isinstance(co, bool)
+        n = 50_000
+        y, _ = one_shot_attempt(3.0, np.full(n, 2.0), np.full(n, 0.7), rng)
+        assert stats.kstest(y, stats.gamma(a=3.0, scale=1 / 2.0).cdf).pvalue >= 1e-3
 
 
 class TestOneShot:
+    """Per-replica miscoupling indicators of the TV harness (shared g1, g3; one attempt per coordinate)."""
+
     def test_equal_pairs_always_coalesce(self, p4):
         rng = RngStream(43)
         n = 500
         u = (np.full(n, 0.9), np.full(n, 1.7))
-        g13 = (rng.gamma(3.0, size=n), rng.gamma(7.0, size=n))
-        out = one_shot_step(u, u, (u, u), g13, p4, rng)
-        assert np.all(out.coalesced_all)
-        assert np.array_equal(out.u_next[0], out.w_next[0])
-        assert np.array_equal(out.inner_next[0][0], out.inner_next[1][0])
-
-    def test_rejects_unordered_inner(self, p4):
-        rng = RngStream(44)
-        u = (np.array([1.0]), np.array([1.0]))
-        w = (np.array([2.0]), np.array([2.0]))
-        bad = (np.array([5.0]), np.array([1.5]))
-        with pytest.raises(ValueError, match="between"):
-            one_shot_step(u, w, (bad, bad), g13=(np.array([1.0]), np.array([1.0])), p=p4, rng=rng)
-
-    def test_rejects_unordered_outer(self, p4):
-        rng = RngStream(44)
-        with pytest.raises(ValueError, match="componentwise"):
-            one_shot_step((2.0, 2.0), (1.0, 1.0), None, (1.0, 1.0), p4, rng)
+        miss, cond = _one_shot_indicators(p4, u, u, rng)
+        assert not np.any(miss)
+        assert np.all(cond == 0.0)
 
     def test_frequency_matches_conditional_overlap(self, p4):
         # P[u' != w'] within 3 sigma of E[1 - prod_i overlap_i]
@@ -150,10 +127,7 @@ class TestOneShot:
         n = 100_000
         u = (np.full(n, 1.0), np.full(n, 1.0))
         w = (np.full(n, 2.0), np.full(n, 2.0))
-        g13 = (rng.gamma(3.0, size=n), rng.gamma(7.0, size=n))
-        out = one_shot_step(u, w, None, g13, p4, rng)
-        miss = ~(out.coalesced[0] & out.coalesced[1])
-        cond = 1.0 - out.overlap[0] * out.overlap[1]
+        miss, cond = _one_shot_indicators(p4, u, w, rng)
         diff = miss.astype(float) - cond
         se = diff.std(ddof=1) / math.sqrt(n)
         assert abs(diff.mean()) <= 3 * se
@@ -165,37 +139,8 @@ class TestOneShot:
         u = (np.full(n, 1.1), np.full(n, 0.8))
         w = (np.full(n, 1.4), np.full(n, 1.1))
         R = max(1.4 / 1.1, 1.1 / 0.8)
-        g13 = (rng.gamma(3.0, size=n), rng.gamma(7.0, size=n))
-        out = one_shot_step(u, w, None, g13, p4, rng)
-        miss = (~(out.coalesced[0] & out.coalesced[1])).mean()
+        miss, _ = _one_shot_indicators(p4, u, w, rng)
+        freq = miss.mean()
         target = 1.0 - R ** (-p4.sum_tail)
-        se = math.sqrt(miss * (1 - miss) / n)
-        assert miss <= target + 3 * se
-
-    def test_inner_subset_property_every_trial(self, p4):
-        rng = RngStream(47)
-        n = 50_000
-        u = (np.full(n, 0.5), np.full(n, 0.5))
-        w = (np.full(n, 4.0), np.full(n, 4.0))
-        U = (np.full(n, 1.0), np.full(n, 2.0))
-        W = (np.full(n, 0.5), np.full(n, 4.0))
-        g13 = (rng.gamma(3.0, size=n), rng.gamma(7.0, size=n))
-        out = one_shot_step(u, w, (U, W), g13, p4, rng)
-        for i in (0, 1):
-            inner_differ = out.inner_next[0][i] != out.inner_next[1][i]
-            outer_differ = out.u_next[i] != out.w_next[i]
-            assert np.all(~inner_differ | outer_differ)
-
-    def test_inner_marginals_exact(self, p4):
-        # the bracketed chain's coordinate stays gamma with its own rate
-        rng = RngStream(48)
-        n = 60_000
-        u = (np.full(n, 0.5), np.full(n, 0.5))
-        w = (np.full(n, 4.0), np.full(n, 4.0))
-        U = (np.full(n, 1.0), np.full(n, 2.0))
-        g13 = (rng.gamma(3.0, size=n), rng.gamma(7.0, size=n))
-        out = one_shot_step(u, w, (U, U), g13, p4, rng)
-        # conditional rates vary per trial; standardize by the realized rate
-        rU2, _ = reduced_rates(U, g13, p4)
-        standardized = out.inner_next[0][0] * rU2
-        assert stats.kstest(standardized, stats.gamma(a=5.0).cdf).pvalue >= 1e-3
+        se = math.sqrt(freq * (1 - freq) / n)
+        assert freq <= target + 3 * se

@@ -20,6 +20,8 @@ from gibbscert.verify import (
     verify_inequality_suite,
 )
 
+from oracles import drift_j_by_quadrature
+
 
 def small_cfg(**kw):
     base = dict(n_replicas=2_000, horizon=120, seed=907, workers=None)
@@ -142,21 +144,37 @@ class TestDriftMc:
     def test_known_drift_j_failure_at_seed_9(self, p4, table4):
         # Pins a known defect without changing the check: `verify --seed 9` fails drift_j_state6.
         # The state has eta <= J < 2 eta.  The K1 and K2 drift lines bound E[J'] by
-        # a_max*J + c1 + c2, which is at most beta*J only when J >= 2 eta; the measured E[J']
-        # lies between the two.  Whether eta or the check is at fault needs the paper text.
+        # a_max*J + c1 + c2, which is at most beta*J only when J >= 2 eta; the exact E[J'],
+        # by quadrature, lies between the two, so the failure is in the maths, not MC noise.
         states = default_drift_states(p4, 12)
         full, block, t = states[6]
         _, _, j, _ = drift_quantities(full, block, p4, t)
         rep = {r.name: r for r in verify_drift_mc(p4, states, 10_000, 9, table4)}["drift_j_state6"]
         assert j == pytest.approx(10.528, abs=5e-4)
         assert table4.eta <= j < 2 * table4.eta
-        assert rep.target == table4.beta * j == pytest.approx(8.188, abs=5e-4)
+        assert rep.target == table4.beta * j == pytest.approx(8.18826, abs=5e-6)
+        exact = drift_j_by_quadrature(p4, full[1], full[3])
+        assert exact == pytest.approx(8.31652, abs=5e-6)
+        assert exact > rep.target
         assert rep.estimate == pytest.approx(8.316, abs=5e-4)
         assert rep.ci_halfwidth == pytest.approx(0.102, abs=5e-4)
         assert rep.estimate > rep.target + rep.ci_halfwidth and not rep.passed
         line = table4.a_max * j + table4.c1 + table4.c2
         assert line == pytest.approx(10.306, abs=5e-4)
         assert rep.estimate + rep.ci_halfwidth < line
+
+    def test_drift_j_estimates_match_quadrature_at_seed_9(self, p4, table4):
+        # every drift_j row of `verify --seed 9` estimates the exact E[J'] to within its 3 sigma half-width
+        states = default_drift_states(p4, 12)
+        reports = {r.name: r for r in verify_drift_mc(p4, states, 10_000, 9, table4)}
+        checked = 0
+        for i, (full, _, _) in enumerate(states):
+            rep = reports.get(f"drift_j_state{i}")
+            if rep is not None:
+                exact = drift_j_by_quadrature(p4, full[1], full[3])
+                assert abs(rep.estimate - exact) <= rep.ci_halfwidth, (rep.name, rep.estimate, exact)
+                checked += 1
+        assert checked == 7
 
 
 class TestInequalityChecks:
@@ -165,12 +183,12 @@ class TestInequalityChecks:
         assert [r.t for r in recs] == [0, 2, 6, 15]
         ratios = [float(r.ratio) for r in recs]
         assert all(b <= a for a, b in zip(ratios, ratios[1:]))
-        reports = one_shot_ratio_bound_mc(p4, recs, 20_000, small_cfg())
+        reports = one_shot_ratio_bound_mc(p4, recs, 20_000, 907)
         assert all(r.passed for r in reports)
 
     def test_ratio_bound_degenerate_state(self, p4):
         recs = stopped_states(p4, (1.0, 1.0), (1.0, 1.0), (3,), 33)
-        reports = one_shot_ratio_bound_mc(p4, recs, 5_000, small_cfg())
+        reports = one_shot_ratio_bound_mc(p4, recs, 5_000, 907)
         assert reports[0].estimate == 0.0  # R = 1: never miscouples
         assert reports[0].passed
 
@@ -202,5 +220,20 @@ class TestAuxiliaryMath:
     def test_all_pass(self):
         reports = verify_auxiliary_math()
         assert [r.name for r in reports] == [
-            "aux_binomial_bound", "aux_ybetay_bound", "aux_secant_monotone"]
+            "aux_binomial_bound", "aux_ybetay_bound", "aux_secant_monotone",
+            "aux_density_envelope", "aux_median_quarter"]
         assert all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("row, fact, broken, note", [
+        ("aux_density_envelope", "check_density_envelope", lambda shape, rates, grid: shape != 3.0,
+         "density envelope fails for shape=3.0, rates=(1.0, 2.0, 3.0, 4.0)"),
+        ("aux_median_quarter", "median_probabilities", lambda shape: (0.49, 0.6),
+         "below 1/2 for g ~ Gamma(a=0.01, 1)"),
+    ])
+    def test_patched_fact_fails_its_row(self, monkeypatch, row, fact, broken, note):
+        import gibbscert.verify as verify_mod
+        monkeypatch.setattr(verify_mod, fact, broken)
+        rows = {r.name: r for r in verify_auxiliary_math()}
+        assert not rows[row].passed and rows[row].estimate == 1.0
+        assert note in rows[row].note
+        assert all(r.passed for name, r in rows.items() if name != row)
