@@ -94,6 +94,8 @@ def validate_params(p: ModelParams) -> ModelParams:
     for i, j in pairs:
         if not a[i - 1] + a[j - 1] > 1:
             raise ParamError(f"a{i}+a{j} <= 1")
+    if p.n == 4 and not a[0] + a[1] > 1.0 / 3.0:
+        raise ParamError("a1+a2 <= 1/3")  # the dominating process D and r-hat need mu2 = a1 + a2 - 1/3 > 0
     return p
 
 

@@ -82,7 +82,9 @@ def _add_common(sub):
     sub.add_argument("--b", type=float, help="top-level rate")
     sub.add_argument("--a", help="comma-separated shape parameters a1..a_{n+1}")
     sub.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-    sub.add_argument("--workers", type=int, help="worker threads (results are worker-count independent)")
+    sub.add_argument("--workers", type=int,
+                     help="forked worker processes for verify, worker threads for simulate "
+                          "(results are worker-count independent)")
     sub.add_argument("--output", help="output file (default stdout)")
     sub.add_argument("--format", choices=("csv", "text"), help="output format (default csv)")
 
@@ -209,6 +211,11 @@ def _default_starts(values, p):
 
 def _bound_spec(values, p, table):
     theorem = values.get("theorem") or ("n3" if p.n == 3 else "fixed_start")
+    # the equilibrium-start bound reads the two start functionals, every other theorem the two starts
+    foreign = ("u0", "w0") if theorem == "equilibrium_start" else ("e_r0_minus_1", "e_j0")
+    for key in foreign:
+        if key in values:
+            raise ConfigError(f"--{key.replace('_', '-')} does not apply to theorem {theorem}")
     if theorem == "equilibrium_start":
         if "e_r0_minus_1" not in values or "e_j0" not in values:
             raise ConfigError("equilibrium_start requires --e-r0-minus-1 and --e-j0")

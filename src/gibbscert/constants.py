@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chain import ModelParams, ParamError, validate_params
+from .chain import ModelParams, validate_params
 
 __all__ = ["ConstantsTable", "ratio_expectation_closed_form", "compute_constants_n4", "compute_constants_n3", "compute_constants"]
 
@@ -101,8 +101,6 @@ def compute_constants_n4(p: ModelParams) -> ConstantsTable:
 
     mu1 = a[2] + a[3]
     mu2 = a[0] + a[1] - Fraction(1, 3)
-    if not mu2 > 0:
-        raise ParamError("a1+a2 <= 1/3")  # the dominating process D and r-hat need mu2 > 0
     rho = 4 * mu1 / mu2
     lead = rho + 4
     coef2 = lead * x + 4 * mu1 / b

@@ -124,11 +124,9 @@ def compute_r_hat(u, v, p: ModelParams):
     """State-dependent contraction rate bound from the one-quarter argument.
 
     ``1 - 1/max{ (4*mu1/mu2 + 4)(u2/x + x/v2 + 2), 4 + 4*mu1/(b*v4) }`` with
-    ``mu1 = a3 + a4`` and ``mu2 = a1 + a2 - 1/3`` (requires a1 + a2 > 1/3).
+    ``mu1 = a3 + a4`` and ``mu2 = a1 + a2 - 1/3`` (positive for every valid model).
     """
     mu1, mu2 = _mu(p)
-    if not mu2 > 0:
-        raise ValueError("a1+a2 <= 1/3")
     lead = 4.0 * mu1 / mu2 + 4.0
     denom = np.maximum(lead * (u[0] / p.x + p.x / v[0] + 2.0), 4.0 + 4.0 * mu1 / (p.b * v[1]))
     return 1.0 - 1.0 / denom

@@ -17,15 +17,19 @@ Every one-sided check allows ``SIGMAS`` standard errors.
 
 Reproducibility contract: replicas are processed in fixed-size chunks and
 chunk ``i`` always draws from ``RngStream(seed, stream_id=i)``, so results
-are bit-identical across runs and across worker counts; workers only execute
-independent chunks, and aggregation is ordered by chunk index.
+are bit-identical across runs and across worker counts.  Workers only execute
+independent work: threads run the chunks of :func:`run_replicas`, and forked
+processes run the seeded jobs of :func:`verify_suite`.  Aggregation is ordered
+by chunk index and job index.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,6 +183,33 @@ class ReplicaStats:
     visits_hist: np.ndarray         # counts of |S_bar_t| = k for t, k <= VISIT_TMAX
 
 
+def _replica_chunk(p: ModelParams, env, eta: float, cfg: McConfig, chunk_id: int, m: int):
+    """One chunk of :func:`run_replicas`: ``m`` replicas on stream ``chunk_id``, checked at every step.
+
+    Returns the per-step sums of R and R^2 and the excursion-visit histogram.
+    """
+    horizon = cfg.horizon
+    rng = RngStream(cfg.seed, stream_id=chunk_id)
+    rec = init_record(_broadcast_state(env.u0, m), _broadcast_state(env.w0, m))
+    s1 = np.zeros(horizon + 1)
+    s2 = np.zeros(horizon + 1)
+    s1[0] = np.sum(rec.ratio)
+    s2[0] = np.sum(np.square(rec.ratio))
+    cum = np.zeros(m, dtype=np.int64)
+    hist = np.zeros((VISIT_TMAX + 1, VISIT_TMAX + 2), dtype=np.int64)
+    for t in range(1, horizon + 1):
+        block = draw_block(p, rng, size=m)
+        nxt = ratio_step(rec, block, p)
+        assert_pathwise(check_pathwise(rec, nxt, block, p), rec, nxt)
+        s1[t] = np.sum(nxt.ratio)
+        s2[t] = np.sum(np.square(nxt.ratio))
+        if t <= VISIT_TMAX:
+            cum += (nxt.j <= eta)
+            hist[t] += np.bincount(cum, minlength=VISIT_TMAX + 2)
+        rec = nxt
+    return s1, s2, hist
+
+
 def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[ConstantsTable] = None) -> ReplicaStats:
     """Run the coupled ratio process over replicas, checking every step.
 
@@ -188,36 +219,13 @@ def run_replicas(p: ModelParams, U0, W0, cfg: McConfig, table: Optional[Constant
     the scalar-chain inequalities are checked instead.
     """
     table = table or compute_constants(p)
-    eta = table.eta
     env = envelope_init(U0, W0)
-    horizon = cfg.horizon
-
-    def chunk_fn(chunk_id, m):
-        rng = RngStream(cfg.seed, stream_id=chunk_id)
-        rec = init_record(_broadcast_state(env.u0, m), _broadcast_state(env.w0, m))
-        s1 = np.zeros(horizon + 1)
-        s2 = np.zeros(horizon + 1)
-        s1[0] = np.sum(rec.ratio)
-        s2[0] = np.sum(np.square(rec.ratio))
-        cum = np.zeros(m, dtype=np.int64)
-        hist = np.zeros((VISIT_TMAX + 1, VISIT_TMAX + 2), dtype=np.int64)
-        for t in range(1, horizon + 1):
-            block = draw_block(p, rng, size=m)
-            nxt = ratio_step(rec, block, p)
-            assert_pathwise(check_pathwise(rec, nxt, block, p), rec, nxt)
-            s1[t] = np.sum(nxt.ratio)
-            s2[t] = np.sum(np.square(nxt.ratio))
-            if t <= VISIT_TMAX:
-                cum += (nxt.j <= eta)
-                hist[t] += np.bincount(cum, minlength=VISIT_TMAX + 2)
-            rec = nxt
-        return s1, s2, hist
-
+    chunk_fn = partial(_replica_chunk, p, env, table.eta, cfg)
     s1, s2, hist = _column_sums(_run_chunked(chunk_fn, cfg.n_replicas, cfg))
     n = cfg.n_replicas
     mean, se = _mean_se(s1, s2, n)
     return ReplicaStats(
-        n=n, horizon=horizon, r0=float(env.r0), j0=float(env.j0),
+        n=n, horizon=cfg.horizon, r0=float(env.r0), j0=float(env.j0),
         mean_ratio=mean, se_ratio=se, visits_hist=hist,
     )
 
@@ -701,22 +709,88 @@ def default_drift_states(p: ModelParams, seed: int):
 DEFAULT_STARTS = {4: ((1.0, 2.0), (0.5, 4.0)), 3: ((1.0,), (4.0,))}
 
 
-def _pathwise_report(p: ModelParams, U0, W0, cfg: McConfig, table: ConstantsTable) -> McReport:
-    """The replica sweep as one report; a :class:`PathwiseViolation` fails it with its state dump."""
-    _, violation, rt = _checked_sweep(p, U0, W0, cfg, table)
+def _pathwise_chunk(p: ModelParams, env, eta: float, cfg: McConfig, chunk_id: int, m: int):
+    """One job of the ``pathwise_suite`` row: ``(state dump of a violation or None, runtime_s)``."""
+    t0 = time.perf_counter()
+    try:
+        _replica_chunk(p, env, eta, cfg, chunk_id, m)
+        violation = None
+    except PathwiseViolation as exc:
+        violation = str(exc)
+    return violation, time.perf_counter() - t0
+
+
+def _pathwise_report(parts, cfg: McConfig) -> McReport:
+    """The replica sweep as one report; the first violation in chunk order fails it with its state dump."""
+    violation = next((v for v, _ in parts if v), None)
     note = violation or f"{cfg.n_replicas} replicas x {cfg.horizon} steps, all pathwise checks"
-    return McReport.pass_fail("pathwise_suite", violation is None, cfg.n_replicas * cfg.horizon, rt, note)
+    return McReport.pass_fail("pathwise_suite", violation is None, cfg.n_replicas * cfg.horizon,
+                              sum(rt for _, rt in parts), note)
+
+
+# The battery being run, as ``(fn, args)`` jobs.  It is set before the worker
+# processes are forked and read by them, so a worker receives only a job index:
+# the callables, which a tracer or a test may have replaced by closures, are
+# never pickled.  That is why the workers are forked: a spawned worker starts
+# from a fresh import, without the table or the replaced callables.
+_JOBS = []
+
+
+def _run_job(index):
+    fn, args = _JOBS[index]
+    return fn(*args)
+
+
+def _run_jobs(jobs, workers: int):
+    """Results of independent ``(fn, args)`` jobs, in list order.
+
+    With ``workers > 1`` on a platform with the ``fork`` start method the jobs
+    run on that many forked processes, handed out in list order, so a list
+    that puts its longest jobs first keeps every process busy; otherwise they
+    run here, in list order.  An exception of a job is raised here, the first
+    in list order.  The pool is shut down and its processes joined before this
+    returns or raises.
+    """
+    global _JOBS
+    _JOBS = jobs
+    try:
+        if workers <= 1 or "fork" not in mp.get_all_start_methods():
+            return [_run_job(i) for i in range(len(jobs))]
+        with ProcessPoolExecutor(min(workers, len(jobs)), mp_context=mp.get_context("fork")) as pool:
+            futures = [pool.submit(_run_job, i) for i in range(len(jobs))]
+            try:
+                return [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _JOBS = []
 
 
 def verify_suite(p: ModelParams, cfg: McConfig, t_grid=(5, 10, 25, 50, 100)):
-    """The full verification battery for one model (used by the CLI)."""
+    """The full verification battery for one model (used by the CLI).
+
+    The battery is one list of independent seeded jobs: each chunk of the
+    pathwise sweep, then the drift, inequality-level, TV and auxiliary checks,
+    each run with one worker.  The chunks come first, largest first: at the
+    defaults they carry most of the work.  :func:`_run_jobs` runs the list on
+    ``cfg.workers`` processes, and the rows are assembled in this fixed order,
+    so the output does not depend on the worker count.
+    """
     table = compute_constants(p)
     U0, W0 = DEFAULT_STARTS[p.n]
-    reports = [_pathwise_report(p, U0, W0, cfg, table)]
+    env = envelope_init(U0, W0)
+    one = replace(cfg, workers=1)
+    sizes = _chunks(cfg.n_replicas, cfg.chunk_size)
+    jobs = [(_pathwise_chunk, (p, env, table.eta, one, i, m)) for i, m in enumerate(sizes)]
     if p.n == 4:
         states = default_drift_states(p, cfg.seed + 3)
-        reports += verify_drift_mc(p, states, max(10_000, cfg.n_replicas), cfg.seed, table)
-        reports += verify_inequality_suite(p, cfg, table)
-    reports += tv_grid_reports(p, U0, W0, t_grid, cfg, table)
-    reports += verify_auxiliary_math()
+        jobs.append((verify_drift_mc, (p, states, max(10_000, cfg.n_replicas), cfg.seed, table)))
+        jobs.append((verify_inequality_suite, (p, one, table)))
+    jobs.append((tv_grid_reports, (p, U0, W0, t_grid, one, table)))
+    jobs.append((verify_auxiliary_math, ()))
+    results = _run_jobs(jobs, cfg.workers or 1)
+    reports = [_pathwise_report(results[:len(sizes)], cfg)]
+    for rows in results[len(sizes):]:
+        reports += rows
     return reports

@@ -1,4 +1,5 @@
 """CLI contract: subcommands, config file, exit codes, byte-identical output."""
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from gibbscert.verify import McReport
 
 ARGS_N4 = ["--x", "2", "--b", "3", "--a", "1,2,3,4,5"]
 ARGS_N3 = ["--x", "1", "--b", "2", "--a", "1,2,3,4"]
+# verify at two pathwise chunks (8192 + 108 replicas)
+TWO_CHUNKS = [*ARGS_N4, "--replicas", "8300", "--horizon", "10", "--t-grid", "2,5"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -226,24 +229,20 @@ class TestExitCodes:
         (["verify", *ARGS_N4, "--quick", "--workers", "-3"], "workers must be at least 1, got -3"),
         (["estimate-pi", *ARGS_N4, "--burn-in", "-1"], "burn_in must be non-negative, got -1"),
         (["estimate-pi", *ARGS_N4, "--n-samples", "0"], "n_samples must be at least 1, got 0"),
+        (["min-t", *ARGS_N4, "--e-j0", "5", "--e-r0-minus-1", "3"],
+         "--e-r0-minus-1 does not apply to theorem fixed_start"),
+        (["bound", *ARGS_N3, "--e-j0", "5"], "--e-j0 does not apply to theorem n3"),
+        (["min-t", *ARGS_N4, "--theorem", "equilibrium_start", "--e-r0-minus-1", "31065", "--e-j0", "59",
+          "--u0", "7,7"], "--u0 does not apply to theorem equilibrium_start"),
+        (["bound", *ARGS_N4, "--theorem", "equilibrium_start", "--e-r0-minus-1", "31065", "--e-j0", "59",
+          "--w0", "7,7"], "--w0 does not apply to theorem equilibrium_start"),
     ])
     def test_bad_value_exit_2_names_it(self, argv, named, capsys):
         assert main(argv) == 2
         assert named in capsys.readouterr().err
 
     def test_pathwise_violation_is_a_failed_row(self, monkeypatch, tmp_path):
-        import gibbscert.verify as verify_mod
-        real = verify_mod.check_pathwise
-
-        def one_replica_fails(rec_t, rec_t1, g, p):
-            # replica 7 fails at step 3 of every checked sweep
-            checks = real(rec_t, rec_t1, g, p)
-            if rec_t.t == 3:
-                checks["order_chain"] = checks["order_chain"].copy()
-                checks["order_chain"][7] = False
-            return checks
-
-        monkeypatch.setattr(verify_mod, "check_pathwise", one_replica_fails)
+        _fail_replica_7_at_step_3(monkeypatch)
         out = tmp_path / "verify.csv"
         rc = main(["verify", *ARGS_N4, "--quick", "--replicas", "300", "--horizon", "10",
                    "--t-grid", "2,5", "--workers", "1", "--output", str(out)])
@@ -254,8 +253,46 @@ class TestExitCodes:
             assert (estimate, passed, rows_n) == ("1.0", "False", n), name
             assert "'check': 'order_chain', 't': 3, 'replicas': [7]" in note, name
 
+    def test_pathwise_violation_in_a_worker_process(self, monkeypatch, tmp_path):
+        # the violation is raised in a forked worker: the same failed rows and notes as in-process
+        _fail_replica_7_at_step_3(monkeypatch)
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"verify_w{workers}.csv"
+            assert main(["verify", *TWO_CHUNKS, "--workers", workers, "--output", str(out)]) == 1
+            assert multiprocessing.active_children() == []
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        failed = [line.split(",", 1)[0] for line in outs[1].splitlines() if ",False," in line]
+        assert failed == ["pathwise_suite", "excursion_counts", "ratio_decay_curve"]
+
+
+def _fail_replica_7_at_step_3(monkeypatch):
+    """Patch ``verify.check_pathwise`` so that replica 7 fails ``order_chain`` at step 3 of every checked sweep."""
+    import gibbscert.verify as verify_mod
+    real = verify_mod.check_pathwise
+
+    def one_replica_fails(rec_t, rec_t1, g, p):
+        checks = real(rec_t, rec_t1, g, p)
+        if rec_t.t == 3:
+            checks["order_chain"] = checks["order_chain"].copy()
+            checks["order_chain"][7] = False
+        return checks
+
+    monkeypatch.setattr(verify_mod, "check_pathwise", one_replica_fails)
+
 
 class TestReproducibility:
+    def test_verify_two_chunks_byte_identical_across_workers(self, tmp_path):
+        # the two pathwise chunks run in different processes at 2 and 3 workers
+        outs = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"verify_w{workers}.csv"
+            assert main(["verify", *TWO_CHUNKS, "--workers", workers, "--output", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", *ARGS_N4, "--replicas", "600", "--horizon", "40", "--seed", "123"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

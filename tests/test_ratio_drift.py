@@ -90,10 +90,11 @@ class TestRHat:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_rejects_small_a1_a2(self):
-        from gibbscert.chain import ModelParams
-        p = ModelParams(n=4, x=2.0, b=3.0, a=(0.1, 0.1, 2.0, 2.0, 2.0))
-        with pytest.raises(ValueError, match="1/3"):
-            compute_r_hat((1.0, 1.0), (1.0, 1.0), p)
+        # r-hat needs mu2 = a1 + a2 - 1/3 > 0; the model owns that condition, so no such model exists
+        from gibbscert.chain import ModelParams, ParamError
+        for a in ((0.1, 0.1, 2.0, 2.0, 2.0), (0.1, 0.2, 3.0, 4.0, 5.0)):
+            with pytest.raises(ParamError, match=r"a1\+a2 <= 1/3"):
+                ModelParams(n=4, x=2.0, b=3.0, a=a)
 
     def test_in_unit_interval(self, p4):
         rng = RngStream(56)

@@ -1,4 +1,6 @@
 """Verification harness: replica sweeps, TV estimation, inequality checks, reproducibility."""
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gibbscert.verify import (
     verify_auxiliary_math,
     verify_drift_mc,
     verify_inequality_suite,
+    verify_suite,
 )
 
 from oracles import drift_j_by_quadrature
@@ -237,3 +240,21 @@ class TestAuxiliaryMath:
         assert not rows[row].passed and rows[row].estimate == 1.0
         assert note in rows[row].note
         assert all(r.passed for name, r in rows.items() if name != row)
+
+
+class TestSuiteJobs:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_job_raises_and_no_worker_outlives_it(self, p3, monkeypatch, workers):
+        import gibbscert.verify as verify_mod
+
+        def fails(exc):
+            def job(*args):
+                raise exc
+            return job
+
+        # two jobs fail; the one first in the battery's order surfaces, with its own type
+        monkeypatch.setattr(verify_mod, "tv_grid_reports", fails(RuntimeError("tv job failed")))
+        monkeypatch.setattr(verify_mod, "verify_auxiliary_math", fails(KeyError("aux job failed")))
+        with pytest.raises(RuntimeError, match="tv job failed"):
+            verify_suite(p3, small_cfg(n_replicas=300, horizon=10, workers=workers), t_grid=(2, 5))
+        assert multiprocessing.active_children() == []
