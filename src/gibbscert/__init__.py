@@ -10,6 +10,7 @@ from .chain import (
     ModelParams,
     ParamError,
     draw_block,
+    draw_pi,
     reduced_rates,
     step,
     step_full,

@@ -10,13 +10,12 @@ degenerate target eps = 1 is affected).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chain import ModelParams, ParamError, draw_block, step
+from .chain import ModelParams, ParamError, draw_pi
 from .constants import ConstantsTable
 from .coupling import envelope_init
 from .rng import RngStream
@@ -24,7 +23,7 @@ from .rng import RngStream
 __all__ = ["BoundSpec", "evaluate_bound", "wall_clock_step", "minimal_t", "PiFunctionals", "estimate_pi_functionals"]
 
 THEOREMS = ("fixed_start_small_j0", "fixed_start", "equilibrium_start", "n3")
-PI_CHAINS = 128  # independent chains (batches) behind the equilibrium functionals
+PI_BATCH = 16_384  # exact draws held at once by estimate_pi_functionals
 
 
 @dataclass(frozen=True)
@@ -122,82 +121,45 @@ class PiFunctionals:
     ``c_j`` estimates E_pi[2m + 1/(2m)] with m = min{1, v2, v4}: the
     quantities entering the equilibrium-start bound for the start (1, 1).
     For n = 3 the analogues are E_pi[max{1, v}/min{1, v}] and
-    E_pi[m + 1/m] with m = min{1, v}.  Standard errors come from
-    independent-chain batch means.
+    E_pi[m + 1/m] with m = min{1, v}.  The draws are exact and independent,
+    so the standard errors are plain i.i.d. ones; ``acceptance`` is the
+    fraction of proposals that :func:`~gibbscert.chain.draw_pi` kept.
     """
 
     c_pi: float
     c_pi_se: float
     c_j: float
     c_j_se: float
-    n_kept: int
-    n_chains: int
-    lag1_autocorr: float
+    n_draws: int
+    acceptance: float
 
 
-def estimate_pi_functionals(
-    p: ModelParams,
-    burn_in: int = 100_000,
-    n_samples: int = 200_000,
-    thinning: int = 1,
-    rng: Optional[RngStream] = None,
-    autocorr_threshold: float = 0.5,
-) -> PiFunctionals:
-    """Ergodic-average estimates of the equilibrium start functionals.
+def estimate_pi_functionals(p: ModelParams, n_samples: int = 200_000, rng: Optional[RngStream] = None) -> PiFunctionals:
+    """Sample means of the equilibrium start functionals over exact draws from pi.
 
-    Runs ``PI_CHAINS`` independent chains from the all-ones start, discards
-    ``burn_in`` steps, then averages the functionals over thinned samples.
-    Each chain is one batch; the CI comes from the spread of batch means.
-    Warns when the within-chain lag-1 autocorrelation of the heavy functional
-    exceeds ``autocorr_threshold``.
+    Draws ``PI_BATCH`` states at a time, applies :func:`envelope_init` from
+    the all-ones start to each and keeps only the running sums and sums of
+    squares, so memory does not grow with ``n_samples``.
     """
-    if burn_in < 0:
-        raise ParamError(f"burn_in must be non-negative, got {burn_in}")
     if n_samples < 1:
         raise ParamError(f"n_samples must be at least 1, got {n_samples}")
-    if thinning < 1:
-        raise ParamError(f"thinning must be at least 1, got {thinning}")
     if rng is None:
         rng = RngStream(0)
-    per_chain = max(1, -(-n_samples // PI_CHAINS))
     ones = (1.0,) * (p.n // 2)
-    state = (np.ones(PI_CHAINS),) * len(ones)
-
-    def advance(s):
-        return step(s, draw_block(p, rng, size=PI_CHAINS), p)
-
-    for _ in range(burn_in):
-        state = advance(state)
-
-    f_pi = np.empty((per_chain, PI_CHAINS))
-    f_j = np.empty((per_chain, PI_CHAINS))
-    for k in range(per_chain):
-        for _ in range(thinning):
-            state = advance(state)
+    sums, sum_squares, proposals = np.zeros(2), np.zeros(2), 0
+    for start in range(0, n_samples, PI_BATCH):
+        state, used = draw_pi(p, rng, min(PI_BATCH, n_samples - start))
         env = envelope_init(ones, state)
-        f_pi[k], f_j[k] = env.r0, env.j0
-
-    batch_pi = f_pi.mean(axis=0)
-    batch_j = f_j.mean(axis=0)
-    c_pi = float(batch_pi.mean())
-    c_j = float(batch_j.mean())
-    se_pi = float(batch_pi.std(ddof=1) / math.sqrt(PI_CHAINS))
-    se_j = float(batch_j.std(ddof=1) / math.sqrt(PI_CHAINS))
-
-    if per_chain > 2:
-        centered = f_pi - f_pi.mean(axis=0, keepdims=True)
-        num = (centered[1:] * centered[:-1]).sum()
-        den = (centered ** 2).sum()
-        auto = float(num / den) if den > 0 else 0.0
+        f = np.stack((env.r0, env.j0))
+        sums += f.sum(axis=1)
+        sum_squares += (f * f).sum(axis=1)
+        proposals += used
+    mean = sums / n_samples
+    if n_samples > 1:
+        se = np.sqrt(np.maximum(sum_squares / n_samples - mean * mean, 0.0) / (n_samples - 1))
     else:
-        auto = 0.0
-    if auto > autocorr_threshold:
-        warnings.warn(
-            f"lag-1 autocorrelation {auto:.3f} exceeds {autocorr_threshold}; "
-            "consider more thinning",
-            stacklevel=2,
-        )
+        se = np.full(2, math.inf)
     return PiFunctionals(
-        c_pi=c_pi, c_pi_se=se_pi, c_j=c_j, c_j_se=se_j,
-        n_kept=per_chain * PI_CHAINS, n_chains=PI_CHAINS, lag1_autocorr=auto,
+        c_pi=float(mean[0]), c_pi_se=float(se[0]), c_j=float(mean[1]), c_j_se=float(se[1]),
+        n_draws=n_samples, acceptance=n_samples / proposals,
     )

@@ -14,6 +14,11 @@ divides each even innovation by its rate, and :func:`step_full` also returns
 the odd coordinates.  All formulas are written in one fixed literal grouping
 so that coupled trajectories stay bit-stable and floating-point evaluation
 preserves the componentwise order.
+
+The chain's stationary law pi is the posterior of the hierarchy
+``x | u1 ~ Gamma(a1, rate u1)``, ``u_i | u_{i+1} ~ Gamma(a_{i+1}, rate
+u_{i+1})``, ``u_n ~ Gamma(a_{n+1}, rate b)``; :func:`draw_pi` samples its even
+coordinates exactly, with no chain.
 """
 from __future__ import annotations
 
@@ -37,7 +42,12 @@ __all__ = [
     "reduced_rates",
     "step",
     "step_full",
+    "draw_pi",
 ]
+
+PI_ROUND = 32_768  # proposals per round of draw_pi; the first round of a call is its pilot
+# below this pilot acceptance the 2e5 draws of estimate-pi's default take over 2e7 proposals
+PI_ACCEPTANCE_FLOOR = 0.01
 
 
 class ParamError(ValueError):
@@ -158,3 +168,48 @@ def step_full(s, g, p: ModelParams):
     u2, u4 = step(even, g, p)
     return (u1, u2, u3, u4)
 
+
+def _pi_proposals(p: ModelParams, rng: RngStream, m):
+    """``m`` prior draws of the even state, and whether each is accepted as a draw from pi.
+
+    ``u_n, ..., u2`` come from the prior.  With u1 integrated out, x given u2
+    has likelihood proportional to ``u2^a2 / (x + u2)^(a1 + a2)``, largest at
+    ``u2* = a2 x / a1``; a proposal is accepted with probability
+    ``L(u2) / L(u2*)``.
+    """
+    u = rng.gamma(p.a[-1], size=m) / p.b
+    coords = [u]
+    for shape in p.a[p.n - 1:1:-1]:  # a_n, ..., a_3
+        u = rng.gamma(shape, size=m) / u
+        coords.append(u)
+    a1, a2 = p.a[0], p.a[1]
+    mode = a2 * p.x / a1
+    log_lik = a2 * np.log(u / mode) - (a1 + a2) * np.log((p.x + u) / (p.x + mode))
+    accept = np.log(rng.uniform(size=m)) <= log_lik
+    return tuple(coords[::-2]), accept  # (u2, u4) or (u2,)
+
+
+def draw_pi(p: ModelParams, rng: RngStream, size: int):
+    """``size`` exact i.i.d. draws of the even state from pi, and the proposals they took.
+
+    Proposes in rounds of ``PI_ROUND`` (see :func:`_pi_proposals`) until
+    ``size`` are accepted; surplus acceptances of the last round are dropped.
+    Returns ``(state, proposals)``: ``state`` is a tuple of arrays of length
+    ``size`` and ``proposals`` counts the proposals up to the last kept draw,
+    so ``size / proposals`` estimates the acceptance.  Raises
+    :class:`ParamError` when the first round, the pilot, accepts less than
+    ``PI_ACCEPTANCE_FLOOR``.
+    """
+    parts, kept, proposals = [], 0, 0
+    while kept < size:
+        state, accept = _pi_proposals(p, rng, PI_ROUND)
+        if not parts and accept.mean() < PI_ACCEPTANCE_FLOOR:
+            raise ParamError(
+                f"the exact pi sampler accepts {accept.mean():.3g} of {PI_ROUND} pilot proposals, "
+                f"below the floor {PI_ACCEPTANCE_FLOOR}"
+            )
+        idx = np.flatnonzero(accept)[: size - kept]
+        parts.append(tuple(c[idx] for c in state))
+        kept += idx.size
+        proposals += int(idx[-1]) + 1 if kept == size else PI_ROUND
+    return tuple(np.concatenate(c) for c in zip(*parts)), proposals

@@ -131,11 +131,12 @@ def build_parser():
     sp.add_argument("--t-grid", dest="t_grid")
     sp.add_argument("--quick", action="store_true", help="smaller sizes for a smoke run")
 
-    sp = subs.add_parser("estimate-pi", help="estimate the equilibrium start functionals")
+    sp = subs.add_parser("estimate-pi", help="estimate the equilibrium start functionals from exact draws of pi")
     _add_common(sp)
-    sp.add_argument("--burn-in", type=int, dest="burn_in")
-    sp.add_argument("--n-samples", type=int, dest="n_samples")
-    sp.add_argument("--thinning", type=int)
+    sp.add_argument("--n-samples", type=int, dest="n_samples", help="exact draws from pi (default 200000)")
+    # kept so that a chain setting exits 2 with a reason instead of a usage error
+    sp.add_argument("--burn-in", type=int, dest="burn_in", help=argparse.SUPPRESS)
+    sp.add_argument("--thinning", type=int, help=argparse.SUPPRESS)
     return parser
 
 
@@ -304,11 +305,13 @@ def _cmd_verify(values, p):
 
 
 def _cmd_estimate_pi(values, p):
+    for key in ("burn_in", "thinning"):
+        if key in values:
+            raise ConfigError(f"--{key.replace('_', '-')} does not apply: estimate-pi draws exactly from pi, "
+                              "with no chain to burn in or thin")
     est = estimate_pi_functionals(
         p,
-        burn_in=int(values.get("burn_in", 100_000)),
         n_samples=int(values.get("n_samples", 200_000)),
-        thinning=int(values.get("thinning", 1)),
         rng=RngStream(int(values.get("seed", DEFAULT_SEED)), stream_id=0),
     )
     rows = [

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gibbscert.chain as chain
 from gibbscert.chain import (
     ModelParams,
     ParamError,
     block_shapes,
     draw_block,
+    draw_pi,
     step,
     step_full,
     validate_params,
@@ -132,26 +134,64 @@ class TestSteps:
             assert np.all(np.isfinite(out4)) and np.all(out4 > 0)
 
 
+STATIONARITY_DRAWS, STATIONARITY_SIGMAS = 200_000, 4.0
+
+
+def stationarity_z(p, seed):
+    """z-scores of the paired mean change of 1/(1 + sum u) and u2/(1 + u2) under one chain step from exact pi draws."""
+    rng = RngStream(seed)
+    s, _ = draw_pi(p, rng, STATIONARITY_DRAWS)
+    t = step(s, draw_block(p, rng, size=STATIONARITY_DRAWS), p)
+    zs = []
+    for f in (lambda v: 1.0 / (1.0 + sum(v)), lambda v: v[0] / (1.0 + v[0])):
+        diff = f(t) - f(s)
+        zs.append(diff.mean() / (diff.std(ddof=1) / math.sqrt(STATIONARITY_DRAWS)))
+    return zs
+
+
+def wrong_top_rate(s, g_odd, p):
+    # b doubled in the last even coordinate's rate (n = 4) or in u3's rate (n = 3)
+    u2 = s[0]
+    if p.n == 3:
+        return (g_odd[0] / (p.x + u2) + g_odd[1] / (u2 + 2.0 * p.b),)
+    u1, u3 = chain.odd_coordinates(s, g_odd, p)
+    return u1 + u3, u3 + 2.0 * p.b
+
+
 class TestEquilibriumDensity:
     def test_stationarity_one_more_kernel_step(self, p4):
-        # after burn-in the mean of a bounded functional is unchanged (3 sigma)
-        rng = RngStream(17)
-        n = 40_000
-        u2 = np.ones(n)
-        u4 = np.ones(n)
-        for t in range(300):
-            g = draw_block(p4, rng, size=n)
-            mid = g[2] / (u2 + u4)
-            u2, u4 = g[1] / (g[0] / (p4.x + u2) + mid), g[3] / (p4.b + mid)
-        f = lambda a, b: 1.0 / (1.0 + a + b)
-        before = f(u2, u4)
-        g = draw_block(p4, rng, size=n)
-        mid = g[2] / (u2 + u4)
-        u2n, u4n = g[1] / (g[0] / (p4.x + u2) + mid), g[3] / (p4.b + mid)
-        after = f(u2n, u4n)
-        diff = after - before
-        se = diff.std(ddof=1) / math.sqrt(n)
-        assert abs(diff.mean()) <= 3 * se
+        # pi is invariant: one step from exact draws leaves both means in place
+        assert all(abs(z) <= STATIONARITY_SIGMAS for z in stationarity_z(p4, 17))
+
+    def test_stationarity_n3(self, p3):
+        assert all(abs(z) <= STATIONARITY_SIGMAS for z in stationarity_z(p3, 18))
+
+    @pytest.mark.parametrize("model", ["p4", "p3"])
+    def test_wrong_rate_breaks_stationarity(self, model, request, monkeypatch):
+        p = request.getfixturevalue(model)
+        monkeypatch.setattr(chain, "reduced_rates", wrong_top_rate)
+        assert max(abs(z) for z in stationarity_z(p, 17)) > STATIONARITY_SIGMAS
+
+
+class TestDrawPi:
+    def test_sizes_and_proposals(self, p4, p3):
+        # acceptance measured on 1e6 proposals: 0.544 for n = 4, 0.811 for n = 3
+        for p, k, lo, hi in ((p4, 2, 0.5, 0.6), (p3, 1, 0.75, 0.85)):
+            s, proposals = draw_pi(p, RngStream(23), 40_000)
+            assert len(s) == k and all(c.shape == (40_000,) and np.all(c > 0) for c in s)
+            assert lo < 40_000 / proposals < hi
+
+    def test_reproducible_and_stream_bound(self, p4):
+        a, pa = draw_pi(p4, RngStream(24), 1_000)
+        b, pb = draw_pi(p4, RngStream(24), 1_000)
+        c, _ = draw_pi(p4, RngStream(25), 1_000)
+        assert pa == pb and all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], c[0])
+
+    def test_pilot_below_floor_names_acceptance(self):
+        p = ModelParams(n=3, x=0.01, b=100.0, a=(1, 2, 3, 4))  # about 1e-3
+        with pytest.raises(ParamError, match=r"accepts 0\.00\d+ of 32768 pilot proposals, below the floor 0\.01"):
+            draw_pi(p, RngStream(26), 10)
 
 
 class TestLift:

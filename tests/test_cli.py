@@ -73,14 +73,17 @@ class TestModes:
         assert len(lines) == 22
 
     def test_estimate_pi(self):
-        res = run_cli(["estimate-pi", *ARGS_N4, "--burn-in", "500",
-                       "--n-samples", "5000", "--thinning", "2", "--seed", "4"])
+        res = run_cli(["estimate-pi", *ARGS_N4, "--n-samples", "5000", "--seed", "4"])
         assert res.returncode == 0
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "functional,estimate,se,ci99_lo,ci99_hi"
         c_pi = float(lines[1].split(",")[1])
         c_j = float(lines[2].split(",")[1])
         assert c_pi >= 1.0 and c_j >= 2.0
+
+    def test_estimate_pi_defaults_print_no_warning(self):
+        res = run_cli(["estimate-pi", *ARGS_N4, "--seed", "1"])
+        assert res.returncode == 0 and res.stderr == ""
 
     def test_all_modes_run_on_both_examples(self, tmp_path):
         # the six modes work for the n=4 and the n=3 example parameter sets
@@ -95,8 +98,7 @@ class TestModes:
             header = dump.read_text().splitlines()[0]
             expected = "t,u2,u4,w2,w4,v2,v4,R,Q,K1,K2,J,D" if model is ARGS_N4 else "t,u,w,R,K1,K2,J"
             assert header == expected
-            assert run_cli(["estimate-pi", *common, "--burn-in", "200",
-                            "--n-samples", "2000", "--thinning", "2"]).returncode == 0
+            assert run_cli(["estimate-pi", *common, "--n-samples", "2000"]).returncode == 0
             assert run_cli(["verify", *common, "--quick", "--replicas", "300",
                             "--horizon", "20", "--t-grid", "2,5"]).returncode == 0
 
@@ -137,6 +139,13 @@ class TestConfigHandling:
         direct = run_cli(["constants", "--x", "5", "--b", "3", "--a", "1,2,3,4,5"])
         assert res_flag.stdout == direct.stdout
 
+    @pytest.mark.parametrize("key", ["burn_in", "thinning"])
+    def test_chain_keys_in_config_exit_2(self, key, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"x=2.0\nb=3.0\na=1,2,3,4,5\n{key}=10\n")
+        assert main(["estimate-pi", "--config", str(cfgfile)]) == 2
+        assert f"--{key.replace('_', '-')} does not apply: estimate-pi draws exactly from pi" in capsys.readouterr().err
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("x=2.0\nbogus_key=7\n")
@@ -156,12 +165,9 @@ class TestConfigHandling:
         assert "unknown theorem 'bogus'" in capsys.readouterr().err
 
     def test_env_seed_override(self):
-        base = run_cli(["estimate-pi", *ARGS_N4, "--burn-in", "100", "--n-samples", "2000",
-                        "--thinning", "2", "--seed", "4"])
-        override = run_cli(["estimate-pi", *ARGS_N4, "--burn-in", "100", "--n-samples", "2000",
-                            "--thinning", "2", "--seed", "4"], env_extra={"GIBBSCERT_SEED": "9"})
-        explicit = run_cli(["estimate-pi", *ARGS_N4, "--burn-in", "100", "--n-samples", "2000",
-                            "--thinning", "2", "--seed", "9"])
+        base = run_cli(["estimate-pi", *ARGS_N4, "--n-samples", "2000", "--seed", "4"])
+        override = run_cli(["estimate-pi", *ARGS_N4, "--n-samples", "2000", "--seed", "4"], env_extra={"GIBBSCERT_SEED": "9"})
+        explicit = run_cli(["estimate-pi", *ARGS_N4, "--n-samples", "2000", "--seed", "9"])
         assert base.stdout != override.stdout
         assert override.stdout == explicit.stdout
 
@@ -202,7 +208,7 @@ class TestExitCodes:
         (["simulate", *ARGS_N4, "--replicas", "10"], "n_replicas must be at least 100 for CI-based checks, got 10"),
         (["constants", "--x", "inf", "--b", "3", "--a", "1,2,3,4,5"], "x must be finite, got inf"),
         (["verify", *ARGS_N4, "--horizon", "0"], "horizon must be at least 1, got 0"),
-        (["estimate-pi", *ARGS_N4, "--thinning", "0"], "thinning must be at least 1, got 0"),
+        (["estimate-pi", *ARGS_N4, "--thinning", "2"], "--thinning does not apply: estimate-pi draws exactly from pi"),
         (["simulate", "--x", "2", "--b", "3", "--a", "0.1,0.1,2,2,2"], "a1+a2 <= 1/3"),
         (["bound", *ARGS_N4, "--t-grid=-3,2"], "t-grid entries must be non-negative integers, got -3"),
         (["bound", *ARGS_N4, "--t-grid", "0,2.7"], "t-grid entries must be non-negative integers, got 2.7"),
@@ -227,7 +233,7 @@ class TestExitCodes:
         (["constants", "--x", "nan", "--b", "3", "--a", "1,2,3,4,5"], "x must be finite, got nan"),
         (["simulate", *ARGS_N4, "--workers", "0"], "workers must be at least 1, got 0"),
         (["verify", *ARGS_N4, "--quick", "--workers", "-3"], "workers must be at least 1, got -3"),
-        (["estimate-pi", *ARGS_N4, "--burn-in", "-1"], "burn_in must be non-negative, got -1"),
+        (["estimate-pi", *ARGS_N4, "--burn-in", "0"], "--burn-in does not apply: estimate-pi draws exactly from pi"),
         (["estimate-pi", *ARGS_N4, "--n-samples", "0"], "n_samples must be at least 1, got 0"),
         (["min-t", *ARGS_N4, "--e-j0", "5", "--e-r0-minus-1", "3"],
          "--e-r0-minus-1 does not apply to theorem fixed_start"),
@@ -236,6 +242,8 @@ class TestExitCodes:
           "--u0", "7,7"], "--u0 does not apply to theorem equilibrium_start"),
         (["bound", *ARGS_N4, "--theorem", "equilibrium_start", "--e-r0-minus-1", "31065", "--e-j0", "59",
           "--w0", "7,7"], "--w0 does not apply to theorem equilibrium_start"),
+        (["estimate-pi", "--x", "0.01", "--b", "0.01", "--a", "3,3,3,3,3"],
+         "the exact pi sampler accepts 0 of 32768 pilot proposals, below the floor 0.01"),
     ])
     def test_bad_value_exit_2_names_it(self, argv, named, capsys):
         assert main(argv) == 2
@@ -292,6 +300,15 @@ class TestReproducibility:
             assert multiprocessing.active_children() == []
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_estimate_pi_byte_identical_across_workers(self, tmp_path):
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"pi_w{workers}.csv"
+            assert main(["estimate-pi", *ARGS_N4, "--n-samples", "40000", "--workers", workers,
+                         "--output", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", *ARGS_N4, "--replicas", "600", "--horizon", "40", "--seed", "123"]

@@ -14,7 +14,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 N4 = ["--x", "2", "--b", "3", "--a", "1,2,3,4,5", "--seed", "3"]
 N3 = ["--x", "1", "--b", "2", "--a", "1,2,3,4", "--seed", "3"]
 SMALL_VERIFY = ["--quick", "--replicas", "300", "--horizon", "20", "--t-grid", "2,5"]
-SMALL_PI = ["--burn-in", "200", "--n-samples", "2000", "--thinning", "2"]
+SMALL_PI = ["--n-samples", "2000"]
 
 # name -> (argv, extra files the command writes besides its --output)
 CASES = {
@@ -29,6 +29,7 @@ CASES = {
     "verify_n4": (["verify", *N4, *SMALL_VERIFY], ()),
     "verify_n3": (["verify", *N3, *SMALL_VERIFY], ()),
     "estimate_pi_n4": (["estimate-pi", *N4, *SMALL_PI], ()),
+    "estimate_pi_n3": (["estimate-pi", *N3, *SMALL_PI], ()),
 }
 
 

@@ -53,7 +53,7 @@ def commands(tmp):
             ["simulate", *model, "--replicas", "200", "--horizon", "5",
              "--dump-trajectory", str(tmp / f"trajectory_{name}.csv")],
             ["verify", *model, "--quick", "--replicas", "200", "--horizon", "20", "--t-grid", "2,5"],
-            ["estimate-pi", *model, "--burn-in", "20", "--n-samples", "300", "--thinning", "2"],
+            ["estimate-pi", *model, "--n-samples", "300"],
         ]
     return [[*argv, "--workers", "1", "--output", str(tmp / "out.csv")] for argv in runs]
 
